@@ -12,6 +12,7 @@ tokens; each one's meaning is spelled out in `proof_step_validate`.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -93,33 +94,26 @@ class BohrVerdict:
         return -self.lhs_extreme
 
 
-def majorant(series: CoefficientSeries, r: float, N: int | None = None):
-    """Partial sum of |A_n| r^n up to N, plus the certified scalar tail.
+def majorant(series: CoefficientSeries, r: float):
+    """Partial sum of |A_n| r^n over the whole stored series, plus the
+    certified scalar tail.
 
-    The tail bounds the operator norm of everything beyond N:
-    tail_norm_bound * r^(N+1) / (1 - r).
+    The tail bounds the operator norm of everything beyond the stored
+    order: tail_norm_bound * r^(order+1) / (1 - r).
     """
     if not 0.0 <= r < 1.0:
         raise OutsideDomain("majorant needs 0 <= r < 1")
-    if N is None:
-        N = series.order
-    if not 0 <= N <= series.order:
-        raise ValueError("N must lie within the stored coefficient range")
-    dim = series.dim
-    partial = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(N + 1):
-        partial += abs_operator(series.coeffs[n]) * r**n
-    tail = series.tail_norm_bound * r ** (N + 1) / (1.0 - r)
-    return hermitian_part(partial), tail
+    return _partial_sum(series, r)
 
 
-def _partial_and_tail(
-    series: CoefficientSeries, r: float, *, drop_a0: bool, square: bool
+def _partial_sum(
+    series: CoefficientSeries, r: float, *, drop_a0: bool = False, square: bool = False
 ):
+    """Sum of T_n r^n over the stored series, T_n = |A_n| (A_n* A_n when
+    square), and the certified norm bound on the terms beyond it."""
     dim = series.dim
     partial = np.zeros((dim, dim), dtype=np.complex128)
-    start = 1 if drop_a0 else 0
-    for n in range(start, series.order + 1):
+    for n in range(1 if drop_a0 else 0, series.order + 1):
         A = series.coeffs[n]
         term = A.conj().T @ A if square else abs_operator(A)
         partial += term * r**n
@@ -128,36 +122,53 @@ def _partial_and_tail(
     return hermitian_part(partial), tail
 
 
-def _adaptive_bohr(
-    f: OperatorFunction,
-    r: float,
-    rhs: np.ndarray,
-    tol: float,
-    *,
-    drop_a0: bool = False,
-    initial_N: int = INITIAL_N,
-    max_N: int = MAX_N,
-) -> BohrVerdict:
-    """Core loop: escalate the truncation order until conclusive.
+def _ladder(f: OperatorFunction, r: float, *, drop_a0: bool = False, square: bool = False):
+    """Yield (N, partial, tail) for N = INITIAL_N, 2 INITIAL_N, ..., MAX_N.
 
-    Partial majorant sums are Loewner-monotone in N, so a Violated
-    verdict at any finite N is already sound for the full series.
+    Partial majorant sums are Loewner-monotone in N, so a caller may stop
+    at the first rung that decides its question.
     """
-    N = initial_N
-    while True:
-        series = f.coefficients(N)
-        partial, tail = _partial_and_tail(series, r, drop_a0=drop_a0, square=False)
-        gap = hermitian_part(partial - rhs)
-        eig = hermitian_eigen(gap)
+    N = INITIAL_N
+    while N <= MAX_N:
+        yield (N, *_partial_sum(f.coefficients(N), r, drop_a0=drop_a0, square=square))
+        N *= 2
+
+
+def _adaptive_bohr(f: OperatorFunction, r: float, rhs: np.ndarray, tol: float) -> BohrVerdict:
+    """Climb the truncation ladder until the verdict is conclusive.
+
+    A Violated verdict at any finite N is already sound for the full
+    series, because the partial sums only grow with N.
+    """
+    for N, partial, tail in _ladder(f, r):
+        eig = hermitian_eigen(hermitian_part(partial - rhs))
         extreme = float(eig.eigenvalues[-1])
         if extreme > tol:
             witness = eig.basis[:, -1].copy()
             return BohrVerdict(Status.VIOLATED, r, extreme, tail, N, witness)
         if extreme + tail <= tol:
             return BohrVerdict(Status.HOLDS, r, extreme, tail, N)
-        if N >= max_N:
-            return BohrVerdict(Status.INCONCLUSIVE, r, extreme, tail, N)
-        N = min(2 * N, max_N)
+    return BohrVerdict(Status.INCONCLUSIVE, r, extreme, tail, N)
+
+
+def require_hypotheses(f: OperatorFunction, family: str) -> None:
+    """The hypothesis gate: raise unless f meets the hypotheses of family.
+
+    Families are the hypothesis classes of hypothesis_check ("thm1",
+    "cor2", "thm2") plus "norm", which asks only for a norm bound. Only
+    "thm2" admits a HalfPlaneLift, which certifies no norm bound; a
+    MobiusLift meets "thm1" by construction; every other pairing except
+    "norm" runs hypothesis_check.
+    """
+    if family != "thm2" and isinstance(f, HalfPlaneLift):
+        raise StepClassMismatch(
+            f"{family} needs a norm-bounded instance; the real-part class certifies no norm bound"
+        )
+    if family == "norm" or (family == "thm1" and isinstance(f, MobiusLift)):
+        return
+    report = hypothesis_check(f, family)
+    if not report.passed:
+        raise HypothesisViolated(f"{family} hypotheses fail: " + ", ".join(report.failures()))
 
 
 def check_bohr(f: OperatorFunction, r: float, tol: float = DEFAULT_BOHR_TOL) -> BohrVerdict:
@@ -181,11 +192,7 @@ def check_cor2(f: OperatorFunction, r: float, tol: float = DEFAULT_BOHR_TOL) -> 
     """Majorant series of a scalar-A0 instance against cor2_rhs(r) I."""
     if not (1.0 / 3.0 - 1e-12 <= r <= SQRT_HALF + 1e-12):
         raise DomainError("check_cor2 needs r in [1/3, 1/sqrt(2)]")
-    report = hypothesis_check(f, "cor2")
-    if not report.passed:
-        raise HypothesisViolated(
-            "cor2 hypotheses fail: " + ", ".join(report.failures())
-        )
+    require_hypotheses(f, "cor2")
     rhs = cor2_rhs(r) * identity(f.dim)
     return _adaptive_bohr(f, r, rhs, tol)
 
@@ -310,11 +317,45 @@ class ProofStep(Enum):
     THM2_FINAL = "thm2final"
 
 
-THM1_STEPS = frozenset(
-    {ProofStep.EQ5, ProofStep.EQ9, ProofStep.EQ10, ProofStep.EQ11, ProofStep.EQ12, ProofStep.EQ14}
-)
-THM2_STEPS = frozenset({ProofStep.EQ1, ProofStep.EQ2, ProofStep.THM2_FINAL})
-NORM_STEPS = frozenset({ProofStep.BB2_REMARK})
+def _radius_below_a0(absA0: np.ndarray, r: float) -> bool:
+    return loewner_leq(r * identity(absA0.shape[0]), absA0).holds
+
+
+@dataclass(frozen=True)
+class StepSpec:
+    """One row of the proof-step table.
+
+    ``family`` is the hypothesis family the step is gated on (see
+    require_hypotheses). ``param`` is the argument of proof_step_validate
+    the step reads: "z" (z_samples), "k", "r", or None. ``classes`` are
+    the file classes whose instances the step may audit, ``defaults`` those
+    whose default audit runs it. ``applies(|A_0|, r)``, when set, is a
+    further condition without which the step says nothing.
+    """
+
+    family: str
+    param: str | None
+    classes: tuple[str, ...]
+    defaults: tuple[str, ...] = ()
+    applies: Callable[[np.ndarray, float], bool] | None = None
+
+
+_THM1_FILES = ("thm1", "polynomial")
+_THM2_FILES = ("thm2", "polynomial")
+_NORM_FILES = ("thm1", "transfer", "polynomial")
+
+STEPS = {
+    ProofStep.EQ5: StepSpec("thm1", "z", _THM1_FILES, ("thm1",)),
+    ProofStep.EQ9: StepSpec("thm1", "k", _THM1_FILES, ("thm1",)),
+    ProofStep.EQ10: StepSpec("thm1", "k", _THM1_FILES, ("thm1",)),
+    ProofStep.EQ11: StepSpec("thm1", "r", _THM1_FILES, ("thm1",), _radius_below_a0),
+    ProofStep.EQ12: StepSpec("thm1", "r", _THM1_FILES, ("thm1",)),
+    ProofStep.EQ14: StepSpec("thm1", None, _THM1_FILES, ("thm1",)),
+    ProofStep.EQ1: StepSpec("thm2", "z", _THM2_FILES, ("thm2",)),
+    ProofStep.EQ2: StepSpec("thm2", "r", _THM2_FILES, ("thm2",)),
+    ProofStep.BB2_REMARK: StepSpec("norm", "r", _NORM_FILES, ("transfer", "polynomial")),
+    ProofStep.THM2_FINAL: StepSpec("thm2", "r", _THM2_FILES, ("thm2",)),
+}
 
 
 @dataclass(frozen=True)
@@ -380,18 +421,14 @@ def _series_loewner(
 ) -> LoewnerVerdict:
     """Loewner comparison of an infinite majorant-type sum against rhs.
 
-    Escalates the truncation order until the tail is negligible
-    (<= 1e-12), then folds the remaining tail into the left side. If the
-    cap still leaves a meaningful tail, a would-be LessOrEqual degrades
-    to Boundary rather than overclaiming.
+    Climbs the truncation ladder until the tail is negligible (<= 1e-12),
+    then folds the remaining tail into the left side. If the top rung
+    still leaves a meaningful tail, a would-be LessOrEqual degrades to
+    Boundary rather than overclaiming.
     """
-    N = INITIAL_N
-    while True:
-        series = f.coefficients(N)
-        partial, tail = _partial_and_tail(series, r, drop_a0=drop_a0, square=square)
-        if tail <= SERIES_TAIL_TARGET or N >= MAX_N:
+    for _, partial, tail in _ladder(f, r, drop_a0=drop_a0, square=square):
+        if tail <= SERIES_TAIL_TARGET:
             break
-        N = min(2 * N, MAX_N)
     padded = loewner_leq(partial + tail * identity(f.dim), rhs)
     if padded.relation is Order.LESS_OR_EQUAL:
         return padded
@@ -399,34 +436,6 @@ def _series_loewner(
     if raw.relation is Order.NOT_LESS_OR_EQUAL:
         return raw
     return LoewnerVerdict(Order.BOUNDARY, raw.min_gap, raw.tolerance, None)
-
-
-def _step_class(step: ProofStep) -> str:
-    if step in THM1_STEPS:
-        return "thm1"
-    if step in THM2_STEPS:
-        return "thm2"
-    return "norm"
-
-
-def _gate_step(f: OperatorFunction, step: ProofStep) -> None:
-    klass = _step_class(step)
-    if klass == "norm":
-        if isinstance(f, HalfPlaneLift):
-            raise StepClassMismatch(f"{step.value} needs a norm-bounded instance")
-        return
-    if klass == "thm1":
-        if isinstance(f, HalfPlaneLift):
-            raise StepClassMismatch(f"{step.value} belongs to the contractive commuting class")
-        if isinstance(f, MobiusLift):
-            return
-    if klass == "thm2" and isinstance(f, HalfPlaneLift):
-        return
-    report = hypothesis_check(f, klass)
-    if not report.passed:
-        raise HypothesisViolated(
-            f"{klass} hypotheses fail: " + ", ".join(report.failures())
-        )
 
 
 def _powers_sum(P: np.ndarray, k: int) -> np.ndarray:
@@ -462,13 +471,24 @@ def proof_step_validate(
       eq2       Squared-coefficient sum against 4(I-A0)^2 r/(1-r).
       thm2final Majorant tail against 2(I-A0) r/(1-r).
       bb2remark Full majorant against (1/sqrt(1-r^2)) I.
+
+    The function must meet the hypotheses of the step's family (see STEPS
+    and require_hypotheses).
     """
     step = ProofStep(step)
-    _gate_step(f, step)
+    require_hypotheses(f, STEPS[step].family)
+    return _validate_step(f, step, k=k, r=r, z_samples=z_samples)
+
+
+def _validate_step(
+    f: OperatorFunction, step: ProofStep, *, k: int = 20, r: float = 0.5, z_samples=None
+) -> ProofStepReport:
+    """proof_step_validate without the hypothesis gate."""
+    spec = STEPS[step]
     dim = f.dim
     eye = identity(dim)
 
-    if step in (ProofStep.EQ5, ProofStep.EQ1):
+    if spec.param == "z":
         samples = default_z_samples() if z_samples is None else np.asarray(z_samples)
         if step is ProofStep.EQ5:
             left = lambda fz, A0: eye - A0.conj().T @ fz
@@ -477,7 +497,7 @@ def proof_step_validate(
         verdict, worst_z = _gram_verdict(f, left, samples)
         return ProofStepReport(step, float(len(samples)), verdict, worst_z)
 
-    if step in (ProofStep.EQ9, ProofStep.EQ10):
+    if spec.param == "k":
         if k < 1:
             raise ValueError("k must be >= 1")
         series = f.coefficients(k)
@@ -499,13 +519,13 @@ def proof_step_validate(
             rhs = hermitian_part(absA0 @ gap2 @ S)
         return ProofStepReport(step, float(k), loewner_leq(lhs, rhs), f"k={k}")
 
-    if step in (ProofStep.EQ11, ProofStep.EQ12, ProofStep.THM2_FINAL, ProofStep.EQ2, ProofStep.BB2_REMARK):
+    if spec.param == "r":
         if not 0.0 <= r < 1.0:
             raise DomainError("r must lie in [0, 1)")
         A0 = f.coefficient0()
         if step is ProofStep.EQ11:
             absA0 = abs_operator(A0)
-            if not loewner_leq(r * eye, absA0).holds:
+            if not spec.applies(absA0, r):
                 raise HypothesisViolated("rI <= |A_0| fails; step not applicable")
             gap2 = hermitian_part(eye - absA0 @ absA0)
             rhs = hermitian_part(r * gap2 @ np.linalg.inv(eye - r * absA0))
@@ -551,7 +571,7 @@ def coefficient_bound_eq14(f: OperatorFunction, max_n: int = 32) -> list[ProofSt
     Index n > 1 is reached by decimating the series so the target
     coefficient becomes the linear one, mirroring root-of-unity averaging.
     """
-    _gate_step(f, ProofStep.EQ14)
+    require_hypotheses(f, STEPS[ProofStep.EQ14].family)
     series = f.coefficients(max_n)
     reports = [_eq14_report(series.coeffs, n=1)]
     for n in range(2, max_n + 1):
@@ -575,14 +595,10 @@ def check_thm2_bounds(f: OperatorFunction, r: float, tol: float = DEFAULT_BOHR_T
     """All three bounds for the real-part-bounded commuting class."""
     if not 0.0 <= r < 1.0:
         raise OutsideDomain("check_thm2_bounds needs 0 <= r < 1")
-    report = hypothesis_check(f, "thm2")
-    if not report.passed:
-        raise HypothesisViolated(
-            "thm2 hypotheses fail: " + ", ".join(report.failures())
-        )
+    require_hypotheses(f, "thm2")
     bohr = _adaptive_bohr(f, r, identity(f.dim), tol)
-    eq2 = proof_step_validate(f, ProofStep.EQ2, r=r)
-    final = proof_step_validate(f, ProofStep.THM2_FINAL, r=r)
+    eq2 = _validate_step(f, ProofStep.EQ2, r=r)
+    final = _validate_step(f, ProofStep.THM2_FINAL, r=r)
     return Thm2Bounds(bohr, eq2, final)
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .checks import (
     DEFAULT_BOHR_TOL,
+    STEPS,
     ProofStep,
     build_radius_report,
     check_bb2_norm_bound,
@@ -30,6 +31,7 @@ from .checks import (
     counterexample_search,
     default_z_samples,
     proof_step_validate,
+    require_hypotheses,
     sharpness_scan,
     thm1_admissible_radius,
 )
@@ -57,7 +59,7 @@ from .functions import (
     hypothesis_check,
     mobius_witness,
 )
-from .linalg import abs_operator, identity, loewner_leq
+from .linalg import abs_operator
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -66,33 +68,6 @@ EXIT_INCONCLUSIVE = 3
 EXIT_WITNESS = 4
 
 THEOREMS = ("thm1", "cor1", "cor2", "thm2", "bb2remark")
-
-# steps grouped by the statement they support, and which knob they take
-STEP_FAMILY = {
-    ProofStep.EQ5: "thm1",
-    ProofStep.EQ9: "thm1",
-    ProofStep.EQ10: "thm1",
-    ProofStep.EQ11: "thm1",
-    ProofStep.EQ12: "thm1",
-    ProofStep.EQ14: "thm1",
-    ProofStep.EQ1: "thm2",
-    ProofStep.EQ2: "thm2",
-    ProofStep.THM2_FINAL: "thm2",
-    ProofStep.BB2_REMARK: "norm",
-}
-CLASS_STEP_FAMILIES = {
-    "thm1": ("thm1", "norm"),
-    "thm2": ("thm2",),
-    "transfer": ("norm",),
-    "polynomial": ("thm1", "thm2", "norm"),
-}
-DEFAULT_STEPS = {
-    "thm1": ("eq5", "eq9", "eq10", "eq11", "eq12", "eq14"),
-    "thm2": ("eq1", "eq2", "thm2final"),
-    "transfer": ("bb2remark",),
-    "polynomial": ("bb2remark",),
-}
-R_STEPS = (ProofStep.EQ11, ProofStep.EQ12, ProofStep.EQ2, ProofStep.THM2_FINAL, ProofStep.BB2_REMARK)
 
 
 # ---------------------------------------------------------------------------
@@ -293,21 +268,6 @@ def cmd_coeffs(args, argv) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _gate_verify(theorem: str, name: str, ff: FunctionFile) -> None:
-    kind = ff.function.kind
-    if theorem != "thm2" and kind == "halfplane":
-        raise HypothesisViolated(
-            f"{name}: {theorem} needs a norm-bounded instance; the "
-            "real-part class certifies no norm bound"
-        )
-    if theorem in ("thm1", "cor1") and ff.klass == "thm1" and kind != "mobius":
-        report = hypothesis_check(ff.function, "thm1")
-        if not report.passed:
-            raise HypothesisViolated(
-                f"{name}: thm1 hypotheses fail: " + ", ".join(report.failures())
-            )
-
-
 def _default_radii(theorem: str, ff: FunctionFile) -> list[float]:
     if theorem == "thm1":
         try:
@@ -330,7 +290,10 @@ def cmd_verify(args, argv) -> int:
     tol = float(cfg["tol"]) if cfg["tol"] is not None else DEFAULT_BOHR_TOL
     entries = []
     for name, ff in _load_files(args.files):
-        _gate_verify(theorem, name, ff)
+        if theorem in ("thm1", "cor1", "bb2remark"):
+            # check_bohr itself needs only a norm bound; a file of class thm1 must meet thm1
+            family = "thm1" if theorem != "bb2remark" and ff.klass == "thm1" else "norm"
+            require_hypotheses(ff.function, family)
         radii = cfg["radii"] if cfg["radii"] is not None else _default_radii(theorem, ff)
         for r in radii:
             r = float(r)
@@ -382,25 +345,23 @@ def cmd_proofcheck(args, argv) -> int:
     entries = []
     skipped = 0
     for name, ff in _load_files(args.files):
-        tokens = cfg["steps"] if cfg["steps"] is not None else DEFAULT_STEPS[ff.klass]
-        steps = [ProofStep(t) for t in tokens]
+        if cfg["steps"] is not None:
+            steps = [ProofStep(t) for t in cfg["steps"]]
+        else:
+            steps = [step for step in ProofStep if ff.klass in STEPS[step].defaults]
         for step in steps:
-            if STEP_FAMILY[step] not in CLASS_STEP_FAMILIES[ff.klass]:
+            if ff.klass not in STEPS[step].classes:
                 raise StepClassMismatch(
                     f"{name}: step {step.value} does not apply to class {ff.klass}"
                 )
         f = ff.function
         for step in steps:
-            step_radii = radii if step in R_STEPS else [None]
-            for r in step_radii:
-                if step is ProofStep.EQ11:
-                    absA0 = abs_operator(f.coefficient0())
-                    if not loewner_leq(float(r) * identity(f.dim), absA0).holds:
-                        skipped += 1
-                        continue
-                rep = proof_step_validate(
-                    f, step, k=k, r=0.5 if r is None else float(r), z_samples=samples
-                )
+            spec = STEPS[step]
+            for r in (radii if spec.param == "r" else [0.5]):
+                if spec.applies and not spec.applies(abs_operator(f.coefficient0()), r):
+                    skipped += 1
+                    continue
+                rep = proof_step_validate(f, step, k=k, r=r, z_samples=samples)
                 entry = {"instance_id": name, "class": ff.klass, "dim": f.dim}
                 entry.update(proof_report_to_json(rep))
                 entry["location"] = str(rep.location)
@@ -431,16 +392,7 @@ def cmd_radius(args, argv) -> int:
     entries = []
     for name, ff in _load_files(args.files):
         f = ff.function
-        if f.kind == "halfplane":
-            raise HypothesisViolated(
-                f"{name}: radius formulas need the norm-bounded commuting class"
-            )
-        if f.kind != "mobius":
-            report = hypothesis_check(f, "thm1")
-            if not report.passed:
-                raise HypothesisViolated(
-                    f"{name}: thm1 hypotheses fail: " + ", ".join(report.failures())
-                )
+        require_hypotheses(f, "thm1")
         rep = build_radius_report(f, tol)
         entry = {
             "instance_id": name,

@@ -54,8 +54,8 @@ class HypothesisViolated(BohrlabError):
     """Input function does not satisfy the hypothesis class of the check."""
 
 
-class StepClassMismatch(BohrlabError):
-    """Proof step does not belong to the hypothesis class of the function."""
+class StepClassMismatch(HypothesisViolated):
+    """Check or proof step does not belong to the hypothesis class of the function."""
 
 
 class DomainError(BohrlabError):

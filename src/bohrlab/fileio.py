@@ -32,6 +32,16 @@ from .linalg import Order
 
 VALID_CLASSES = ("thm1", "thm2", "transfer", "polynomial")
 
+_NUMBER = (int, float)
+
+# JSON shape of each payload field per kind: a type, or [type] for a list of them
+_PAYLOAD_SHAPES = {
+    "polynomial": {"coeffs": [dict]},
+    "mobius": {"basis": dict, "lambdas": [list], "phases": [list], "degrees": [int]},
+    "transfer": {"colligation": dict, "state_dim": int},
+    "halfplane": {"basis": dict, "diag": [_NUMBER], "t": _NUMBER, "beta": list},
+}
+
 # default hypothesis-class tag per representation kind
 KIND_TO_CLASS = {
     "polynomial": "polynomial",
@@ -65,7 +75,9 @@ def _pair(z) -> list[float]:
 
 
 def _unpair(p) -> complex:
-    return complex(float(p[0]), float(p[1]))
+    if not (isinstance(p, list) and len(p) == 2 and all(isinstance(x, _NUMBER) for x in p)):
+        raise ValueError("complex numbers must be [re, im] pairs of numbers")
+    return complex(p[0], p[1])
 
 
 def matrix_to_json(M) -> dict:
@@ -77,7 +89,9 @@ def matrix_to_json(M) -> dict:
 
 
 def json_to_matrix(d) -> np.ndarray:
-    dim = int(d["dim"])
+    if not (isinstance(d, dict) and isinstance(d.get("dim"), int) and isinstance(d.get("entries"), list)):
+        raise ValueError("a matrix must be an object with an integer dim and an entries list")
+    dim = d["dim"]
     entries = d["entries"]
     if dim < 1 or len(entries) != dim * dim:
         raise DimensionMismatch(f"matrix payload needs {dim}*{dim} entries")
@@ -88,18 +102,6 @@ def json_to_matrix(d) -> np.ndarray:
 def vector_to_json(v) -> list:
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     return [_pair(z) for z in v]
-
-
-def json_to_vector(entries) -> np.ndarray:
-    return np.array([_unpair(p) for p in entries], dtype=np.complex128)
-
-
-def save_matrix(path, M) -> None:
-    write_text(path, canonical_dumps(matrix_to_json(M)))
-
-
-def load_matrix(path) -> np.ndarray:
-    return json_to_matrix(json.loads(read_text(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +168,6 @@ def _build_function(kind: str, data: dict) -> OperatorFunction:
             data["t"],
             _unpair(data["beta"]),
         )
-    raise ValueError(f"unknown function kind {kind!r}")
 
 
 def function_file_to_json(ff: FunctionFile) -> dict:
@@ -186,16 +187,36 @@ def serialize_function_file(ff: FunctionFile) -> str:
     return canonical_dumps(function_file_to_json(ff))
 
 
+def _check_payload(kind, data) -> None:
+    if not isinstance(kind, str) or kind not in _PAYLOAD_SHAPES:
+        raise ValueError(f"unknown function kind {kind!r}")
+    if not isinstance(data, dict):
+        raise ValueError("function file data must be a JSON object")
+    for field, shape in _PAYLOAD_SHAPES[kind].items():
+        value = data.get(field)
+        if isinstance(shape, list):
+            ok = isinstance(value, list) and all(isinstance(x, shape[0]) for x in value)
+        else:
+            ok = isinstance(value, shape)
+        if not ok:
+            raise ValueError(f"{kind} data field {field!r} is missing or malformed")
+
+
 def parse_function_file(text: str) -> FunctionFile:
     d = json.loads(text)
+    if not isinstance(d, dict):
+        raise ValueError("function file must hold a JSON object")
     for key in ("kind", "dim", "data", "seed", "class"):
         if key not in d:
             raise ValueError(f"function file missing key {key!r}")
     klass = d["class"]
     if klass not in VALID_CLASSES:
         raise ValueError(f"class must be one of {VALID_CLASSES}")
+    if not isinstance(d["dim"], int):
+        raise ValueError("function file dim must be an integer")
+    _check_payload(d["kind"], d["data"])
     f = _build_function(d["kind"], d["data"])
-    if f.dim != int(d["dim"]):
+    if f.dim != d["dim"]:
         raise DimensionMismatch("declared dim disagrees with the payload")
     return FunctionFile(f, klass, d["seed"], d.get("hypothesis"))
 

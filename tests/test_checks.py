@@ -63,8 +63,13 @@ def test_majorant_matches_scalar_closed_form():
         assert tail >= 0.0
     with pytest.raises(OutsideDomain):
         majorant(series, 1.0)
-    with pytest.raises(ValueError):
-        majorant(series, 0.5, N=1000)
+
+
+def test_majorant_sums_every_stored_term():
+    f = Polynomial([[[0.1]], [[0.2]], [[0.6]]])
+    partial, tail = majorant(f.coefficients(2), 0.9)
+    assert abs(float(partial[0, 0].real) - (0.1 + 0.2 * 0.9 + 0.6 * 0.81)) <= 1e-15
+    assert tail == 0.0
 
 
 def test_check_bohr_statuses_at_the_sharp_radius():
@@ -223,6 +228,19 @@ def test_step_class_gates():
     with pytest.raises(HypothesisViolated):
         proof_step_validate(neg, "eq1")
     assert proof_step_validate(m, "bb2remark", r=0.5).verdict.holds
+
+
+def test_halfplane_steps_check_the_real_part_bound():
+    # 2t(1 - Re beta) = 0.2 > 1 - |beta|^2 = 0.19: Re f exceeds I near z = 1
+    bad = HalfPlaneLift(np.eye(1), [0.5], 1.0, 0.9)
+    for token in ("eq1", "eq2", "thm2final"):
+        with pytest.raises(HypothesisViolated):
+            proof_step_validate(bad, token, r=0.3)
+    with pytest.raises(HypothesisViolated):
+        check_thm2_bounds(bad, 0.3)
+    # a class mismatch is a hypothesis failure too
+    with pytest.raises(HypothesisViolated):
+        proof_step_validate(bad, "eq5")
 
 
 def test_step_parameter_domains():

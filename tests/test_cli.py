@@ -11,7 +11,7 @@ import pytest
 from bohrlab import Status, check_bohr, load_function_file
 from bohrlab.cli import main
 from bohrlab.fileio import FunctionFile, canonical_dumps, save_function_file
-from bohrlab.functions import Polynomial
+from bohrlab.functions import HalfPlaneLift, Polynomial
 
 EXIT_OK, EXIT_ERROR, EXIT_VIOLATED, EXIT_INCONCLUSIVE, EXIT_WITNESS = 0, 1, 2, 3, 4
 
@@ -169,6 +169,15 @@ def test_proofcheck_rejects_cross_class_steps(cli_files, capsys):
     assert main(["proofcheck", cli_files["rand1"], "--steps", "eq1"]) == EXIT_ERROR
     assert "eq1" in capsys.readouterr().err
     assert main(["proofcheck", cli_files["thm2"], "--steps", "eq1"]) == EXIT_OK
+
+
+def test_halfplane_outside_the_real_part_bound_is_refused(tmp_path, capsys):
+    # 2t(1 - Re beta) = 0.2 > 1 - |beta|^2 = 0.19, so Re f exceeds I
+    path = tmp_path / "bad_thm2.json"
+    save_function_file(path, FunctionFile(HalfPlaneLift(np.eye(1), [0.5], 1.0, 0.9), "thm2"))
+    assert main(["proofcheck", str(path)]) == EXIT_ERROR
+    assert main(["verify", str(path), "--theorem", "thm2"]) == EXIT_ERROR
+    assert "thm2 hypotheses fail" in capsys.readouterr().err
 
 
 def test_proofcheck_skips_inapplicable_eq11_radii(cli_files, tmp_path):
@@ -373,6 +382,45 @@ def test_bad_invocations_exit_one(cli_files):
     assert main(["bogus"]) == EXIT_ERROR
     assert main(["verify", cli_files["pin75"], "--r", "1.5"]) == EXIT_ERROR
     assert main(["verify", "/no/such/file.json", "--r", "0.4"]) == EXIT_ERROR
+
+
+_GOOD = {
+    "class": "thm1", "kind": "polynomial", "dim": 1, "seed": None, "hypothesis": None,
+    "data": {"coeffs": [{"dim": 1, "entries": [[0.5, 0.0]]}]},
+}
+
+
+def _coeff(**matrix):
+    return {**_GOOD, "data": {"coeffs": [{"dim": 1, "entries": [[0.5, 0.0]], **matrix}]}}
+
+
+MALFORMED_FILES = {
+    "top level is a list": [],
+    "data is a list": {**_GOOD, "data": []},
+    "coeffs is a number": {**_GOOD, "data": {"coeffs": 5}},
+    "matrix is a list": {**_GOOD, "data": {"coeffs": [[0.5]]}},
+    "entries not numeric": _coeff(entries=[["x", 0.0]]),
+    "entry is null": _coeff(entries=[[None, 0.0]]),
+    "entry not a pair": _coeff(entries=[0.5]),
+    "dim not an integer": {**_GOOD, "dim": "one"},
+    "dim is null": {**_GOOD, "dim": None},
+    "kind is a list": {**_GOOD, "kind": ["polynomial"]},
+    "missing top-level key": {k: v for k, v in _GOOD.items() if k != "kind"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_instance_files_exit_one(case, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED_FILES[case]), encoding="utf-8")
+    assert main(["verify", str(path), "--r", "0.4"]) == EXIT_ERROR
+    assert "error:" in capsys.readouterr().err
+
+
+def test_the_malformed_file_template_is_valid(tmp_path):
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(_GOOD), encoding="utf-8")
+    assert main(["verify", str(path), "--r", "0.4"]) == EXIT_OK
 
 
 # ---------------------------------------------------------------------------

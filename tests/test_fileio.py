@@ -20,20 +20,16 @@ from bohrlab.fileio import (
     canonical_dumps,
     function_file_to_json,
     json_to_matrix,
-    json_to_vector,
     load_function_file,
-    load_matrix,
     matrix_to_json,
     parse_function_file,
     proof_report_to_json,
     radius_report_to_json,
     save_function_file,
-    save_matrix,
     search_result_to_json,
     serialize_function_file,
     series_to_json,
     sharpness_rows_to_csv,
-    vector_to_json,
     verdict_rows_to_csv,
     verdict_to_json,
 )
@@ -73,18 +69,6 @@ def test_matrix_json_validation():
     d["entries"] = d["entries"][:-1]
     with pytest.raises(DimensionMismatch):
         json_to_matrix(d)
-
-
-def test_vector_round_trip():
-    v = np.array([1.0 + 2.0j, -0.5])
-    assert np.array_equal(json_to_vector(vector_to_json(v)), v)
-
-
-def test_matrix_file_round_trip(tmp_path):
-    M = np.array([[0.5, 1j], [-1j, 0.25]])
-    path = tmp_path / "m.json"
-    save_matrix(path, M)
-    assert np.array_equal(load_matrix(path), M)
 
 
 def _all_kind_files():
