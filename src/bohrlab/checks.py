@@ -103,6 +103,8 @@ def majorant(series: CoefficientSeries, r: float):
     """
     if not 0.0 <= r < 1.0:
         raise OutsideDomain("majorant needs 0 <= r < 1")
+    if not all(np.all(np.isfinite(A)) for A in series.coeffs):
+        raise ValueError("series coefficients must be finite")
     return _partial_sum(series, r)
 
 

@@ -37,19 +37,6 @@ class CommutationViolated(BohrlabError):
     """Operands were required to commute but do not (within tolerance)."""
 
 
-class BoundExceeded(BohrlabError):
-    """Certified sup-norm bound exceeds the allowed level.
-
-    Carries the offending boundary point in ``point`` and the certified
-    bound in ``bound``.
-    """
-
-    def __init__(self, message, point=None, bound=None):
-        super().__init__(message)
-        self.point = point
-        self.bound = bound
-
-
 class HypothesisViolated(BohrlabError):
     """Input function does not satisfy the hypothesis class of the check."""
 

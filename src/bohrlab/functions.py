@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BoundExceeded,
     CommutationViolated,
     DimensionMismatch,
     GridTooCoarse,
@@ -51,7 +50,7 @@ COMMUTATION_ORDER = 32     # coefficients checked for commutation with A_0
 
 def _check_disk_point(z: complex) -> complex:
     z = complex(z)
-    if abs(z) > 1.0 - EVAL_GUARD:
+    if not abs(z) <= 1.0 - EVAL_GUARD:
         raise OutsideDomain(f"|z| = {abs(z):.12f} is outside the guarded disk")
     return z
 
@@ -108,8 +107,10 @@ class FunctionSamples:
         vals = np.asarray(self.values, dtype=np.complex128)
         if pts.ndim != 1 or vals.ndim != 3 or len(pts) != vals.shape[0]:
             raise DimensionMismatch("points and values must match one-to-one")
-        if len(pts) and np.max(np.abs(pts)) > 1.0 - EVAL_GUARD:
+        if len(pts) and not np.max(np.abs(pts)) <= 1.0 - EVAL_GUARD:
             raise OutsideDomain("sample points must satisfy |z| <= 1 - 1e-9")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("sample values must be finite")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
 
@@ -207,9 +208,9 @@ class MobiusLift(OperatorFunction):
         if not (len(lam) == len(eps) == len(deg) == self.dim):
             raise DimensionMismatch("need one (lambda, phase, degree) per channel")
         cap = 1.0 if allow_boundary else 1.0 - MOBIUS_PARAM_CAP
-        if np.max(np.abs(lam)) > cap + 1e-12:
+        if not np.max(np.abs(lam)) <= cap + 1e-12:
             raise HypothesisViolated(f"|lambda| must stay <= {cap}")
-        if np.max(np.abs(np.abs(eps) - 1.0)) > 1e-12:
+        if not np.max(np.abs(np.abs(eps) - 1.0)) <= 1e-12:
             raise HypothesisViolated("inner phases must be unimodular")
         if np.min(deg) < 1:
             raise HypothesisViolated("inner degrees must be >= 1")
@@ -323,12 +324,12 @@ class HalfPlaneLift(OperatorFunction):
         d = np.asarray(diag, dtype=np.float64).reshape(-1)
         if len(d) != self.dim:
             raise DimensionMismatch("need one diagonal entry per dimension")
-        if np.min(d) < 0.0 or np.max(d) >= 1.0:
+        if not (np.min(d) >= 0.0 and np.max(d) < 1.0):
             raise HypothesisViolated("diagonal must satisfy 0 <= d_i < 1")
         if not 0.0 <= t <= 1.0:
             raise HypothesisViolated("t must lie in [0, 1]")
         beta = complex(beta)
-        if abs(beta) > 1.0 - BETA_CAP + 1e-15:
+        if not abs(beta) <= 1.0 - BETA_CAP + 1e-15:
             raise HypothesisViolated(f"|beta| must stay <= {1.0 - BETA_CAP}")
         self.basis = Q.copy()
         self.diag = d
@@ -427,6 +428,8 @@ def reconstruct_from_transform(A0, phi: FunctionSamples) -> FunctionSamples:
     if not is_normal(A0, tol=1e-10):
         raise HypothesisViolated("A_0 must be normal")
     dim = A0.shape[0]
+    if phi.values.shape[1:] != A0.shape:
+        raise DimensionMismatch(f"samples of shape {phi.values.shape[1:]} vs A_0 of {A0.shape}")
     out = np.empty_like(phi.values)
     for k in range(len(phi)):
         P = phi.values[k]
@@ -517,17 +520,6 @@ def generate_transfer_instance(dim: int, state_dim: int, seed: int = 0) -> Trans
 # certification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SchurCertificate:
-    """Certified sup-norm bound for a polynomial on the closed disk."""
-
-    sup_bound: float
-    grid_max: float
-    grid_size: int
-    margin: float
-    worst_point: complex
-
-
 def certified_sup(f: Polynomial) -> tuple[float, complex]:
     """Certified bound on sup_{|z|=1} ||f(z)|| by dense boundary sampling.
 
@@ -543,21 +535,6 @@ def certified_sup(f: Polynomial) -> tuple[float, complex]:
     k = int(np.argmax(norms))
     bound = float(norms[k] / (1.0 - np.pi * d / M))
     return bound, complex(np.exp(1j * angles[k]))
-
-
-def certify_schur_bound(f: Polynomial, margin: float) -> SchurCertificate:
-    """Certify sup ||f|| <= 1 - margin; raise BoundExceeded otherwise."""
-    bound, worst = certified_sup(f)
-    d = f.degree
-    M = 64 * (d + 1)
-    grid_max = bound * (1.0 - np.pi * d / M)
-    if bound > 1.0 - margin:
-        raise BoundExceeded(
-            f"certified sup {bound:.6f} exceeds 1 - margin = {1.0 - margin:.6f}",
-            point=worst,
-            bound=bound,
-        )
-    return SchurCertificate(bound, grid_max, M, margin, worst)
 
 
 # ---------------------------------------------------------------------------

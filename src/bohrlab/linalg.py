@@ -3,6 +3,14 @@ PSD square roots, and the Loewner (positive semidefinite) order.
 
 All matrices are square ``numpy`` arrays of complex128. Every function is
 pure; nothing mutates its inputs.
+
+Validation happens once, where matrices enter bohrlab: ``as_matrix`` in the
+``OperatorFunction`` constructors, ``thm1_admissible_radius``,
+``reconstruct_from_transform`` and ``loewner_leq``. The kernels
+(``hermitian_eigen``, ``psd_sqrt``, ``abs_operator``, ``operator_norm``,
+``commutator_norm``, ``is_normal``) take finite complex square arrays as
+given and check nothing; where a Hermitian matrix is needed they use the
+Hermitian part of what they are handed.
 """
 
 from __future__ import annotations
@@ -67,26 +75,22 @@ class EigenDecomposition:
         return (self.basis * self.eigenvalues) @ self.basis.conj().T
 
 
-def hermitian_eigen(H) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    H = as_matrix(H)
-    Hs = require_hermitian(H)
+def hermitian_eigen(H: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of the Hermitian part of H, eigenvalues ascending."""
     try:
-        w, V = np.linalg.eigh(Hs)
+        w, V = np.linalg.eigh(hermitian_part(H))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return EigenDecomposition(eigenvalues=w, basis=V)
 
 
-def operator_norm(A) -> float:
+def operator_norm(A: np.ndarray) -> float:
     """Largest singular value of A."""
-    A = as_matrix(A)
     return float(np.linalg.norm(A, 2))
 
 
-def abs_operator(A) -> np.ndarray:
+def abs_operator(A: np.ndarray) -> np.ndarray:
     """|A| = (A*A)^{1/2}, the PSD factor in the polar decomposition."""
-    A = as_matrix(A)
     return psd_sqrt(A.conj().T @ A)
 
 
@@ -94,13 +98,12 @@ PSD_NEG_RTOL = 1e-10
 PSD_CLAMP_RTOL = 1e-12
 
 
-def psd_sqrt(P) -> np.ndarray:
-    """PSD square root via the spectral calculus.
+def psd_sqrt(P: np.ndarray) -> np.ndarray:
+    """PSD square root of the Hermitian part of P via the spectral calculus.
 
     Eigenvalues below ``PSD_CLAMP_RTOL * lambda_max`` are treated as exact
     zeros so that |A| of a rank-deficient A stays rank-deficient.
     """
-    P = as_matrix(P)
     eig = hermitian_eigen(P)
     w = eig.eigenvalues.copy()
     top = max(float(w[-1]), 0.0)
@@ -156,7 +159,7 @@ def loewner_leq(A, B, tol: float | None = None) -> LoewnerVerdict:
         raise DimensionMismatch(f"shape mismatch {A.shape} vs {B.shape}")
     if tol is None:
         tol = default_loewner_tol(A, B)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     D = hermitian_part(require_hermitian(B) - require_hermitian(A))
     eig = hermitian_eigen(D)
@@ -168,18 +171,13 @@ def loewner_leq(A, B, tol: float | None = None) -> LoewnerVerdict:
     return LoewnerVerdict(Order.BOUNDARY, gap, tol)
 
 
-def commutator_norm(A, B) -> float:
-    """||AB - BA||_F."""
-    A = as_matrix(A)
-    B = as_matrix(B)
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"shape mismatch {A.shape} vs {B.shape}")
+def commutator_norm(A: np.ndarray, B: np.ndarray) -> float:
+    """||AB - BA||_F for A and B of one shape."""
     return frobenius(A @ B - B @ A)
 
 
-def is_normal(A, tol: float = 1e-12) -> bool:
+def is_normal(A: np.ndarray, tol: float = 1e-12) -> bool:
     """True iff ||A*A - AA*||_F <= tol * (1 + ||A||_F^2)."""
-    A = as_matrix(A)
     Ah = A.conj().T
     return frobenius(Ah @ A - A @ Ah) <= tol * (1.0 + frobenius(A) ** 2)
 

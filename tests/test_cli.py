@@ -397,6 +397,18 @@ def _coeff(**matrix):
     return {**_GOOD, "data": {"coeffs": [{"dim": 1, "entries": [[0.5, 0.0]], **matrix}]}}
 
 
+def _mobius(lam):
+    data = {"basis": {"dim": 1, "entries": [[1.0, 0.0]]}, "lambdas": [[lam, 0.0]],
+            "phases": [[1.0, 0.0]], "degrees": [1]}
+    return {**_GOOD, "kind": "mobius", "data": data}
+
+
+def _halfplane(d):
+    data = {"basis": {"dim": 1, "entries": [[1.0, 0.0]]}, "diag": [d], "t": 0.25,
+            "beta": [0.0, 0.0]}
+    return {**_GOOD, "class": "thm2", "kind": "halfplane", "data": data}
+
+
 MALFORMED_FILES = {
     "top level is a list": [],
     "data is a list": {**_GOOD, "data": []},
@@ -409,14 +421,27 @@ MALFORMED_FILES = {
     "dim is null": {**_GOOD, "dim": None},
     "kind is a list": {**_GOOD, "kind": ["polynomial"]},
     "missing top-level key": {k: v for k, v in _GOOD.items() if k != "kind"},
+    # json.dumps writes these as NaN / Infinity and json.loads reads them back
+    "polynomial entry NaN": _coeff(entries=[[float("nan"), 0.0]]),
+    "polynomial entry Infinity": _coeff(entries=[[float("inf"), 0.0]]),
+    "mobius lambda NaN": _mobius(float("nan")),
+    "mobius lambda Infinity": _mobius(float("inf")),
+    "halfplane diag NaN": _halfplane(float("nan")),
+    "halfplane diag Infinity": _halfplane(float("inf")),
 }
+
+
+def _verify(payload, tmp_path) -> int:
+    """verify one instance file under the theorem its kind admits."""
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    halfplane = isinstance(payload, dict) and payload.get("kind") == "halfplane"
+    return main(["verify", str(path), "--theorem", "thm2" if halfplane else "thm1", "--r", "0.4"])
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
 def test_malformed_instance_files_exit_one(case, tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(MALFORMED_FILES[case]), encoding="utf-8")
-    assert main(["verify", str(path), "--r", "0.4"]) == EXIT_ERROR
+    assert _verify(MALFORMED_FILES[case], tmp_path) == EXIT_ERROR
     assert "error:" in capsys.readouterr().err
 
 
@@ -424,6 +449,11 @@ def test_the_malformed_file_template_is_valid(tmp_path):
     path = tmp_path / "good.json"
     path.write_text(json.dumps(_GOOD), encoding="utf-8")
     assert main(["verify", str(path), "--r", "0.4"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("good", [_mobius(0.5), _halfplane(0.5)], ids=["mobius", "halfplane"])
+def test_the_structured_file_templates_are_valid(good, tmp_path):
+    assert _verify(good, tmp_path) == EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from bohrlab.checks import majorant
 from bohrlab.errors import (
-    BoundExceeded,
     CommutationViolated,
     DimensionMismatch,
     GridTooCoarse,
@@ -19,7 +19,6 @@ from bohrlab.functions import (
     Polynomial,
     TransferRealization,
     certified_sup,
-    certify_schur_bound,
     coefficients_dft,
     decimate,
     generate_thm1_instance,
@@ -76,6 +75,47 @@ def test_function_samples_validation():
         FunctionSamples(pts, np.zeros((3, 2, 2)))
     with pytest.raises(OutsideDomain):
         FunctionSamples(np.array([1.0]), np.zeros((1, 1, 1)))
+
+
+# Non-finite data must be refused where it enters: the linalg kernels
+# downstream take their arrays as given.
+NAN, INF = float("nan"), float("inf")
+
+
+def _series(*entries):
+    return CoefficientSeries(tuple(np.full((1, 1), complex(e)) for e in entries), 0.0, exact=True)
+
+
+NONFINITE_INPUTS = {
+    "mobius lambda nan": (HypothesisViolated, lambda: MobiusLift(np.eye(2), [NAN, 0.5], [1, 1], [1, 1])),
+    "mobius lambda inf": (HypothesisViolated, lambda: MobiusLift(np.eye(1), [INF], [1.0], [1])),
+    "mobius phase nan": (HypothesisViolated, lambda: MobiusLift(np.eye(2), [0.1, 0.5], [NAN, 1], [1, 1])),
+    "mobius phase complex nan": (HypothesisViolated, lambda: MobiusLift(np.eye(1), [0.5], [1 + NAN * 1j], [1])),
+    "mobius phase inf": (HypothesisViolated, lambda: MobiusLift(np.eye(1), [0.5], [INF], [1])),
+    "halfplane diag nan": (HypothesisViolated, lambda: HalfPlaneLift(np.eye(2), [NAN, 0.5], 0.5, 0.1)),
+    "halfplane diag inf": (HypothesisViolated, lambda: HalfPlaneLift(np.eye(1), [INF], 0.5, 0.1)),
+    "halfplane t nan": (HypothesisViolated, lambda: HalfPlaneLift(np.eye(1), [0.5], NAN, 0.1)),
+    "halfplane beta nan": (HypothesisViolated, lambda: HalfPlaneLift(np.eye(1), [0.5], 0.5, NAN)),
+    "halfplane beta inf": (HypothesisViolated, lambda: HalfPlaneLift(np.eye(1), [0.5], 0.5, INF * 1j)),
+    "polynomial entry nan": (ValueError, lambda: Polynomial([np.diag([0.5, NAN])])),
+    "samples point nan": (OutsideDomain, lambda: FunctionSamples([0.1, NAN], np.zeros((2, 1, 1)))),
+    "samples value nan": (ValueError, lambda: FunctionSamples([0.1], np.full((1, 1, 1), NAN))),
+    "samples value inf": (ValueError, lambda: FunctionSamples([0.1], np.full((1, 2, 2), INF))),
+    "majorant series nan": (ValueError, lambda: majorant(_series(1.0, NAN), 0.5)),
+    "majorant series inf": (ValueError, lambda: majorant(_series(INF), 0.5)),
+    "polynomial evaluate nan": (OutsideDomain, lambda: Polynomial([np.eye(2)]).evaluate(NAN)),
+    "mobius evaluate nan": (OutsideDomain, lambda: mobius_witness(0.5).evaluate(NAN)),
+    "mobius evaluate complex nan": (OutsideDomain, lambda: mobius_witness(0.5).evaluate(0.1 + NAN * 1j)),
+    "transfer evaluate nan": (OutsideDomain, lambda: generate_transfer_instance(2, 1).evaluate(NAN)),
+    "halfplane evaluate nan": (OutsideDomain, lambda: generate_thm2_instance(2).evaluate(NAN)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONFINITE_INPUTS))
+def test_nonfinite_inputs_are_refused_at_the_boundary(case):
+    error, build = NONFINITE_INPUTS[case]
+    with pytest.raises(error):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +324,8 @@ def test_reconstruct_guards():
     bad = FunctionSamples(pts, off[None, :, :])
     with pytest.raises(CommutationViolated):
         reconstruct_from_transform(A0, bad)
+    with pytest.raises(DimensionMismatch):
+        reconstruct_from_transform(np.diag([0.1, 0.6, 0.2]), phi)
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +414,3 @@ def test_certified_sup_dominates_boundary_samples():
     for _ in range(50):
         z = np.exp(2j * np.pi * rng.uniform())
         assert operator_norm(f.boundary_evaluate(z)) <= bound + 1e-12
-
-
-def test_certify_schur_bound_raises_past_the_margin():
-    small = _scaled_polynomial(2, 3, seed=15)
-    cert = certify_schur_bound(small, 0.05)
-    assert cert.sup_bound <= 0.95
-    big = Polynomial([np.eye(2) * 1.1])
-    with pytest.raises(BoundExceeded):
-        certify_schur_bound(big, 0.0)

@@ -136,6 +136,8 @@ def test_loewner_rejects_shape_mismatch_and_bad_tol():
         loewner_leq(identity(2), identity(3))
     with pytest.raises(ValueError):
         loewner_leq(identity(2), identity(2), tol=0.0)
+    with pytest.raises(ValueError):
+        loewner_leq(identity(2), identity(2), tol=float("nan"))
 
 
 def test_commutator_norm_and_is_normal():
