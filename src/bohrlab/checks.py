@@ -12,6 +12,7 @@ tokens; each one's meaning is spelled out in `proof_step_validate`.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -105,35 +106,95 @@ def majorant(series: CoefficientSeries, r: float):
         raise OutsideDomain("majorant needs 0 <= r < 1")
     if not all(np.all(np.isfinite(A)) for A in series.coeffs):
         raise ValueError("series coefficients must be finite")
-    return _partial_sum(series, r)
+    partial = _sum(_convert(list(series.coeffs), "abs"), r, 0, series.order)
+    return partial, _tail(series.tail_norm_bound, r, series.order)
 
 
-def _partial_sum(
-    series: CoefficientSeries, r: float, *, drop_a0: bool = False, square: bool = False
-):
-    """Sum of T_n r^n over the stored series, T_n = |A_n| (A_n* A_n when
-    square), and the certified norm bound on the terms beyond it."""
-    dim = series.dim
-    partial = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(1 if drop_a0 else 0, series.order + 1):
-        A = series.coeffs[n]
-        term = A.conj().T @ A if square else abs_operator(A)
-        partial += term * r**n
-    c = series.tail_norm_bound
-    tail = (c * c if square else c) * r ** (series.order + 1) / (1.0 - r)
-    return hermitian_part(partial), tail
+def _gram(A: np.ndarray) -> np.ndarray:
+    """A* A, for one matrix or a stack."""
+    return A.conj().swapaxes(-1, -2) @ A
 
 
-def _ladder(f: OperatorFunction, r: float, *, drop_a0: bool = False, square: bool = False):
-    """Yield (N, partial, tail) for N = INITIAL_N, 2 INITIAL_N, ..., MAX_N.
+def _convert(coeffs: list, kind: str) -> list:
+    """The terms T_n of coeffs as a list of stacks: |A_n| for kind "abs",
+    A_n* A_n for kind "gram"; one batched kernel call per INITIAL_N.
 
-    Partial majorant sums are Loewner-monotone in N, so a caller may stop
-    at the first rung that decides its question.
+    Empties coeffs as it goes, so that each coefficient the list alone
+    holds is freed once converted.
     """
-    N = INITIAL_N
-    while N <= MAX_N:
-        yield (N, *_partial_sum(f.coefficients(N), r, drop_a0=drop_a0, square=square))
-        N *= 2
+    kernel = abs_operator if kind == "abs" else _gram
+    blocks = []
+    while coeffs:
+        blocks.append(kernel(np.stack(coeffs[:INITIAL_N])))
+        del coeffs[:INITIAL_N]
+    return blocks
+
+
+def _sum(blocks: list, r: float, first: int, last: int) -> np.ndarray:
+    """Hermitian part of sum_{first <= n <= last} T_n r^n, summed in n order."""
+    terms = itertools.islice(itertools.chain.from_iterable(blocks), first, last + 1)
+    partial = np.zeros(blocks[0].shape[1:], dtype=np.complex128)
+    for n, T in enumerate(terms, first):
+        partial += T * r**n
+    return hermitian_part(partial)
+
+
+def _tail(c: float, r: float, N: int) -> float:
+    """Norm bound on sum_{n > N} T_n r^n when every ||T_n|| <= c."""
+    return c * r ** (N + 1) / (1.0 - r)
+
+
+class _TermStore:
+    """The r-independent terms of one function's majorant series.
+
+    It keeps |A_n| for n = 0, 1, ... as stacks in n order, and the
+    tail_norm_bound of f.coefficients(N) for each rung N visited. Growing
+    to a larger N converts only the coefficients not yet converted. The
+    A_n* A_n terms, which only EQ2 sums, are kept for one climb: caching
+    them too would hold a second stack for the life of the function.
+
+    _term_store attaches a store to its function. The store keeps no
+    reference back to it, so it is freed with the function without the
+    cyclic collector. Caching is sound because functions and their arrays
+    are immutable.
+    """
+
+    def __init__(self):
+        self.abs = []
+        self.tails = {}
+
+    def ladder(self, f: OperatorFunction, r: float, first: int = 0, kind: str = "abs"):
+        """Yield (N, partial, tail) for N = INITIAL_N, 2 INITIAL_N, ..., MAX_N.
+
+        partial is the Hermitian part of sum_{first <= n <= N} T_n r^n and
+        tail the certified norm bound on the terms beyond N. Partial
+        majorant sums are Loewner-monotone in N, so a caller may stop at
+        the first rung that decides its question.
+        """
+        blocks = self.abs if kind == "abs" else []
+        N = INITIAL_N
+        while N <= MAX_N:
+            have = sum(map(len, blocks))
+            if have <= N:
+                series = f.coefficients(N)
+                self.tails[N] = series.tail_norm_bound
+                pending = list(series.coeffs[have:])
+                del series
+                # a new list: a climb in another thread keeps a whole stack
+                blocks = blocks + _convert(pending, kind)
+                if kind == "abs":
+                    self.abs = blocks
+            c = self.tails[N]
+            yield N, _sum(blocks, r, first, N), _tail(c * c if kind == "gram" else c, r, N)
+            N *= 2
+
+
+def _term_store(f: OperatorFunction) -> _TermStore:
+    """The term store of f, attached on first use."""
+    store = f.__dict__.get("_term_store")
+    if store is None:
+        store = f._term_store = _TermStore()
+    return store
 
 
 def _adaptive_bohr(f: OperatorFunction, r: float, rhs: np.ndarray, tol: float) -> BohrVerdict:
@@ -142,7 +203,9 @@ def _adaptive_bohr(f: OperatorFunction, r: float, rhs: np.ndarray, tol: float) -
     A Violated verdict at any finite N is already sound for the full
     series, because the partial sums only grow with N.
     """
-    for N, partial, tail in _ladder(f, r):
+    if not np.isfinite(tol):
+        raise ValueError("tol must be finite")
+    for N, partial, tail in _term_store(f).ladder(f, r):
         eig = hermitian_eigen(hermitian_part(partial - rhs))
         extreme = float(eig.eigenvalues[-1])
         if extreme > tol:
@@ -419,16 +482,17 @@ def _gram_verdict(f, left_of, samples) -> tuple[LoewnerVerdict, complex]:
 
 
 def _series_loewner(
-    f: OperatorFunction, r: float, rhs: np.ndarray, *, drop_a0: bool, square: bool
+    f: OperatorFunction, r: float, rhs: np.ndarray, first: int, kind: str = "abs"
 ) -> LoewnerVerdict:
-    """Loewner comparison of an infinite majorant-type sum against rhs.
+    """Loewner comparison of sum_{n >= first} T_n r^n against rhs (T_n as in
+    _convert).
 
     Climbs the truncation ladder until the tail is negligible (<= 1e-12),
     then folds the remaining tail into the left side. If the top rung
     still leaves a meaningful tail, a would-be LessOrEqual degrades to
     Boundary rather than overclaiming.
     """
-    for _, partial, tail in _ladder(f, r, drop_a0=drop_a0, square=square):
+    for _, partial, tail in _term_store(f).ladder(f, r, first, kind):
         if tail <= SERIES_TAIL_TARGET:
             break
     padded = loewner_leq(partial + tail * identity(f.dim), rhs)
@@ -531,22 +595,22 @@ def _validate_step(
                 raise HypothesisViolated("rI <= |A_0| fails; step not applicable")
             gap2 = hermitian_part(eye - absA0 @ absA0)
             rhs = hermitian_part(r * gap2 @ np.linalg.inv(eye - r * absA0))
-            verdict = _series_loewner(f, r, rhs, drop_a0=True, square=False)
+            verdict = _series_loewner(f, r, rhs, first=1)
         elif step is ProofStep.EQ12:
             absA0 = abs_operator(A0)
             gap2 = hermitian_part(eye - absA0 @ absA0)
             rhs = psd_sqrt(gap2) * (r / np.sqrt(1.0 - r * r))
-            verdict = _series_loewner(f, r, rhs, drop_a0=True, square=False)
+            verdict = _series_loewner(f, r, rhs, first=1)
         elif step is ProofStep.EQ2:
             gap = hermitian_part(eye - A0)
             rhs = 4.0 * hermitian_part(gap @ gap) * (r / (1.0 - r))
-            verdict = _series_loewner(f, r, rhs, drop_a0=True, square=True)
+            verdict = _series_loewner(f, r, rhs, first=1, kind="gram")
         elif step is ProofStep.THM2_FINAL:
             rhs = 2.0 * hermitian_part(eye - A0) * (r / (1.0 - r))
-            verdict = _series_loewner(f, r, rhs, drop_a0=True, square=False)
+            verdict = _series_loewner(f, r, rhs, first=1)
         else:
             rhs = eye / np.sqrt(1.0 - r * r)
-            verdict = _series_loewner(f, r, rhs, drop_a0=False, square=False)
+            verdict = _series_loewner(f, r, rhs, first=0)
         return ProofStepReport(step, float(r), verdict, float(r))
 
     # EQ14
@@ -616,8 +680,8 @@ def empirical_bohr_radius(f: OperatorFunction, tol: float = 1e-6) -> float:
     midpoints are treated as the violated side, which can only
     under-report the radius.
     """
-    if tol < 1e-6:
-        raise ValueError("tol must be >= 1e-6")
+    if not 1e-6 <= tol < np.inf:
+        raise ValueError("tol must be finite and >= 1e-6")
     if check_bohr(f, RADIUS_CAP).holds:
         return RADIUS_CAP
     lo, hi = 0.0, RADIUS_CAP

@@ -10,6 +10,7 @@ stderr so it never perturbs the artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -588,7 +589,9 @@ def _add_common(sub):
     sub.add_argument("--out", help="output path (directory for gen/search)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="bohrlab", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -598,13 +601,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int)
     p.add_argument("--seed", type=int)
     _add_common(p)
-    p.set_defaults(handler=cmd_gen)
 
     p = subs.add_parser("coeffs", help="dump coefficient series JSON")
     p.add_argument("files", nargs="+")
     p.add_argument("--k", type=int, help="series order (default 32)")
     _add_common(p)
-    p.set_defaults(handler=cmd_coeffs)
 
     p = subs.add_parser("verify", help="run a verdict campaign")
     p.add_argument("files", nargs="+")
@@ -612,7 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, action="append")
     p.add_argument("--tol", type=float)
     _add_common(p)
-    p.set_defaults(handler=cmd_verify)
 
     p = subs.add_parser("proofcheck", help="audit derivation steps")
     p.add_argument("files", nargs="+")
@@ -620,18 +620,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--r", type=float, action="append")
     _add_common(p)
-    p.set_defaults(handler=cmd_proofcheck)
 
     p = subs.add_parser("radius", help="guaranteed vs empirical radius")
     p.add_argument("files", nargs="+")
     p.add_argument("--tol", type=float)
     _add_common(p)
-    p.set_defaults(handler=cmd_radius)
 
     p = subs.add_parser("sharpness", help="scalar witness sharpness table")
     p.add_argument("grid", nargs="?", help="start:stop:count or comma list")
     _add_common(p)
-    p.set_defaults(handler=cmd_sharpness)
 
     p = subs.add_parser("search", help="hunt for violations under a relaxed hypothesis")
     p.add_argument("--relax", choices=("drop-commutation", "drop-normality", "weak-norm-bound"))
@@ -639,13 +636,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int)
     p.add_argument("--seed", type=int)
     _add_common(p)
-    p.set_defaults(handler=cmd_search)
 
     p = subs.add_parser("report", help="aggregate run records")
     p.add_argument("files", nargs="+")
     p.add_argument("--format", choices=("csv", "md", "json"))
     _add_common(p)
-    p.set_defaults(handler=cmd_report)
 
     return parser
 
@@ -659,7 +654,9 @@ def main(argv=None) -> int:
         return int(exc.code or EXIT_OK)
     start = time.perf_counter()
     try:
-        return args.handler(args, argv)
+        # looked up by name at call time, so a cmd_* replaced after the
+        # parser was built (as a tracer or a test may do) is the one that runs
+        return globals()[f"cmd_{args.command}"](args, argv)
     except BohrlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -87,13 +87,6 @@ class CoefficientSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def partial_value(self, z: complex) -> np.ndarray:
-        """sum_{n<=N} A_n z^n."""
-        acc = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for A in reversed(self.coeffs):
-            acc = acc * z + A
-        return acc
-
 
 @dataclass(frozen=True)
 class FunctionSamples:

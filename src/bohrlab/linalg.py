@@ -2,7 +2,9 @@
 PSD square roots, and the Loewner (positive semidefinite) order.
 
 All matrices are square ``numpy`` arrays of complex128. Every function is
-pure; nothing mutates its inputs.
+pure; nothing mutates its inputs. ``hermitian_part``, ``hermitian_eigen``,
+``psd_sqrt`` and ``abs_operator`` also take a ``(k, d, d)`` stack and treat
+each matrix on its own, with the same arithmetic as a call per matrix.
 
 Validation happens once, where matrices enter bohrlab: ``as_matrix`` in the
 ``OperatorFunction`` constructors, ``thm1_admissible_radius``,
@@ -42,7 +44,7 @@ def frobenius(A) -> float:
 
 def hermitian_part(A: np.ndarray) -> np.ndarray:
     """(A + A*) / 2."""
-    return (A + A.conj().T) / 2.0
+    return (A + A.conj().swapaxes(-1, -2)) / 2.0
 
 
 def identity(dim: int) -> np.ndarray:
@@ -71,9 +73,6 @@ class EigenDecomposition:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.basis * self.eigenvalues) @ self.basis.conj().T
-
 
 def hermitian_eigen(H: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of the Hermitian part of H, eigenvalues ascending."""
@@ -91,7 +90,7 @@ def operator_norm(A: np.ndarray) -> float:
 
 def abs_operator(A: np.ndarray) -> np.ndarray:
     """|A| = (A*A)^{1/2}, the PSD factor in the polar decomposition."""
-    return psd_sqrt(A.conj().T @ A)
+    return psd_sqrt(A.conj().swapaxes(-1, -2) @ A)
 
 
 PSD_NEG_RTOL = 1e-10
@@ -101,17 +100,20 @@ PSD_CLAMP_RTOL = 1e-12
 def psd_sqrt(P: np.ndarray) -> np.ndarray:
     """PSD square root of the Hermitian part of P via the spectral calculus.
 
-    Eigenvalues below ``PSD_CLAMP_RTOL * lambda_max`` are treated as exact
-    zeros so that |A| of a rank-deficient A stays rank-deficient.
+    Eigenvalues below ``PSD_CLAMP_RTOL * lambda_max`` of their own matrix
+    are treated as exact zeros so that |A| of a rank-deficient A stays
+    rank-deficient.
     """
     eig = hermitian_eigen(P)
     w = eig.eigenvalues.copy()
-    top = max(float(w[-1]), 0.0)
-    if float(w[0]) < -PSD_NEG_RTOL * (1.0 + top):
-        raise NotPSD(f"lambda_min = {w[0]:.3e} is too negative for a PSD sqrt")
+    top = np.maximum(w[..., -1:], 0.0)
+    low = w[..., :1]
+    negative = low < -PSD_NEG_RTOL * (1.0 + top)
+    if np.any(negative):
+        raise NotPSD(f"lambda_min = {low[negative][0]:.3e} is too negative for a PSD sqrt")
     w[w < PSD_CLAMP_RTOL * top] = 0.0
     w[w < 0.0] = 0.0
-    S = (eig.basis * np.sqrt(w)) @ eig.basis.conj().T
+    S = (eig.basis * np.sqrt(w)[..., None, :]) @ eig.basis.conj().swapaxes(-1, -2)
     return hermitian_part(S)
 
 

@@ -1,5 +1,10 @@
 """Verdict logic, radius formulas, proof steps, and the relaxation search."""
 
+import gc
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -95,6 +100,91 @@ def test_check_bohr_domain():
         check_bohr(mobius_witness(0.5), 1.0)
     with pytest.raises(OutsideDomain):
         check_bohr(mobius_witness(0.5), -0.1)
+
+
+@pytest.mark.parametrize(
+    "check, f, r",
+    [
+        (check_bohr, mobius_witness(0.75), 0.3),
+        (check_bb2_norm_bound, generate_transfer_instance(2, 2, seed=4), 0.5),
+        (check_cor2, mobius_witness(0.5), 0.5),
+        (check_thm2_bounds, generate_thm2_instance(2, seed=5), 0.5),
+    ],
+)
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+def test_verdicts_refuse_a_nonfinite_tol(check, f, r, tol):
+    # tol=nan used to climb the ladder to MAX_N and return INCONCLUSIVE
+    with pytest.raises(ValueError):
+        check(f, r, tol=tol)
+
+
+def _verdict_bytes(v) -> tuple:
+    witness = None if v.witness is None else v.witness.tobytes()
+    return (v.status, v.r, v.lhs_extreme, v.truncation_gap, v.N_used, witness)
+
+
+def test_a_warm_term_store_gives_the_verdicts_of_a_fresh_function():
+    radii = (0.3, 0.5, 0.7, 0.9, 0.99)
+    warm = generate_thm1_instance(4, degrees=(1, 10), seed=17)
+    empirical_bohr_radius(warm)
+    assert check_bb2_norm_bound(warm, 0.999).N_used == 4096
+    for r in radii:
+        fresh = generate_thm1_instance(4, degrees=(1, 10), seed=17)
+        assert _verdict_bytes(check_bohr(warm, r)) == _verdict_bytes(check_bohr(fresh, r))
+    warm = generate_thm2_instance(3, seed=8)
+    check_thm2_bounds(warm, 0.9)
+    for r in radii:
+        fresh = generate_thm2_instance(3, seed=8)
+        for step in (ProofStep.EQ2, ProofStep.THM2_FINAL):
+            a = proof_step_validate(warm, step, r=r).verdict
+            b = proof_step_validate(fresh, step, r=r).verdict
+            assert (a.relation, a.min_gap, a.tolerance) == (b.relation, b.min_gap, b.tolerance)
+
+
+def test_threads_sharing_one_function_get_the_verdicts_of_a_fresh_one():
+    radii = (0.9, 0.95, 0.97, 0.99) * 2
+    expected = {
+        r: _verdict_bytes(check_bb2_norm_bound(generate_thm1_instance(3, seed=23), r))
+        for r in set(radii)
+    }
+    shared = generate_thm1_instance(3, seed=23)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda r: _verdict_bytes(check_bb2_norm_bound(shared, r)), radii))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [expected[r] for r in radii]
+
+
+def test_bisection_generates_each_rung_once():
+    f = mobius_witness(0.75, degree=2)
+    orders = []
+    generate = f.coefficients
+
+    def counting(N):
+        orders.append(N)
+        return generate(N)
+
+    f.coefficients = counting
+    radius = empirical_bohr_radius(f)
+    assert abs(radius - 0.4**0.5) <= 1e-5
+    assert orders and len(orders) == len(set(orders))
+
+
+def test_a_checked_function_is_freed_without_the_cycle_collector():
+    f = generate_thm2_instance(3, seed=2)
+    check_thm2_bounds(f, 0.8)
+    ref = weakref.ref(f)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del f
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_norm_class_bound_holds_for_transfer_functions():
@@ -295,6 +385,10 @@ def test_empirical_radius_bisects_the_witness_boundary():
     assert abs(emp - 0.4) <= 1e-5
     with pytest.raises(ValueError):
         empirical_bohr_radius(mobius_witness(0.75), tol=1e-7)
+    # tol=nan used to skip the bisection and return 0.4999995
+    for tol in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            empirical_bohr_radius(mobius_witness(0.75), tol=tol)
 
 
 def test_empirical_radius_caps_for_exact_series():

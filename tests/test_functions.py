@@ -58,14 +58,6 @@ def test_series_validation():
         CoefficientSeries((np.eye(2),), np.inf, exact=False)
 
 
-def test_series_partial_value_is_horner():
-    A = np.diag([0.2, 0.4])
-    B = np.diag([0.1, -0.1])
-    s = CoefficientSeries((A, B), 0.0, exact=True)
-    z = 0.3 + 0.1j
-    assert frobenius(s.partial_value(z) - (A + z * B)) <= 1e-15
-
-
 def test_function_samples_validation():
     pts = np.array([0.1, 0.2])
     vals = np.zeros((2, 2, 2))

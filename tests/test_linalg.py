@@ -53,7 +53,7 @@ def test_eigen_reconstruction_and_order():
         H = random_hermitian(dim, seed)
         eig = hermitian_eigen(H)
         assert np.all(np.diff(eig.eigenvalues) >= -1e-14)
-        err = frobenius(eig.reconstruct() - hermitian_part(H))
+        err = frobenius((eig.basis * eig.eigenvalues) @ eig.basis.conj().T - hermitian_part(H))
         assert err <= 1e-12 * (1.0 + frobenius(H))
         gram = eig.basis.conj().T @ eig.basis
         assert frobenius(gram - identity(dim)) <= 1e-12 * dim
@@ -84,6 +84,22 @@ def test_psd_sqrt_keeps_rank_deficiency():
 def test_psd_sqrt_rejects_negative_input():
     with pytest.raises(NotPSD):
         psd_sqrt(np.diag([1.0, -0.5]))
+    # in a stack, each matrix is judged against its own lambda_max
+    with pytest.raises(NotPSD):
+        psd_sqrt(np.stack([np.diag([1e6, 0.0]), np.diag([1.0, -1e-9])]))
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_stacked_kernels_equal_the_per_matrix_loop_byte_for_byte(dim):
+    rng = np.random.default_rng(100 + dim)
+    A = rng.standard_normal((10, dim, dim)) + 1j * rng.standard_normal((10, dim, dim))
+    A[::3, 0, :] = 0.0
+    A[1] *= 1e-9
+    A[2] = 0.0
+    P = A @ A.conj().swapaxes(-1, -2)
+    for kernel, stack in ((abs_operator, A), (psd_sqrt, P)):
+        looped = np.stack([kernel(M) for M in stack])
+        assert kernel(stack).tobytes() == looped.tobytes()
 
 
 def test_abs_operator_is_an_isometry_on_ranges():
