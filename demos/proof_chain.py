@@ -4,8 +4,7 @@
 Each step is a Loewner comparison; min_gap is the smallest eigenvalue of
 rhs - lhs, so nonnegative (within tolerance) means the step holds. The
 coefficient chain |A_n| <= I - |A_0|^2 <= 2(I - |A_0|) is checked for
-every index up to 32 by decimating the series until the target
-coefficient sits in the linear slot.
+every index n up to 32.
 """
 
 import argparse

@@ -47,7 +47,6 @@ from .functions import (
     OperatorFunction,
     Polynomial,
     certified_sup,
-    decimate,
     generate_thm1_instance,
     hypothesis_check,
     mobius_witness,
@@ -106,35 +105,37 @@ def majorant(series: CoefficientSeries, r: float):
         raise OutsideDomain("majorant needs 0 <= r < 1")
     if not all(np.all(np.isfinite(A)) for A in series.coeffs):
         raise ValueError("series coefficients must be finite")
-    partial = _sum(_convert(list(series.coeffs), "abs"), r, 0, series.order)
+    partial = _sum(_convert(list(series.coeffs)), r, 0, series.order, series.dim)
     return partial, _tail(series.tail_norm_bound, r, series.order)
 
 
-def _gram(A: np.ndarray) -> np.ndarray:
-    """A* A, for one matrix or a stack."""
-    return A.conj().swapaxes(-1, -2) @ A
-
-
-def _convert(coeffs: list, kind: str) -> list:
-    """The terms T_n of coeffs as a list of stacks: |A_n| for kind "abs",
-    A_n* A_n for kind "gram"; one batched kernel call per INITIAL_N.
+def _convert(coeffs: list) -> list:
+    """|A_n| of coeffs as a list of stacks, one batched abs_operator call
+    per INITIAL_N matrices.
 
     Empties coeffs as it goes, so that each coefficient the list alone
     holds is freed once converted.
     """
-    kernel = abs_operator if kind == "abs" else _gram
     blocks = []
     while coeffs:
-        blocks.append(kernel(np.stack(coeffs[:INITIAL_N])))
+        blocks.append(abs_operator(np.stack(coeffs[:INITIAL_N])))
         del coeffs[:INITIAL_N]
     return blocks
 
 
-def _sum(blocks: list, r: float, first: int, last: int) -> np.ndarray:
-    """Hermitian part of sum_{first <= n <= last} T_n r^n, summed in n order."""
-    terms = itertools.islice(itertools.chain.from_iterable(blocks), first, last + 1)
-    partial = np.zeros(blocks[0].shape[1:], dtype=np.complex128)
-    for n, T in enumerate(terms, first):
+def _terms(blocks, first: int, last: int):
+    """T_first, ..., T_last of stacks that hold T_0, T_1, ... in n order."""
+    return itertools.islice(itertools.chain.from_iterable(blocks), first, last + 1)
+
+
+def _sum(blocks, r: float, first: int, last: int, dim: int) -> np.ndarray:
+    """Hermitian part of sum_{first <= n <= last} T_n r^n, summed in n order.
+
+    blocks is an iterable of stacks of T_0, T_1, ..., read no further than
+    the stack that holds T_last.
+    """
+    partial = np.zeros((dim, dim), dtype=np.complex128)
+    for n, T in enumerate(_terms(blocks, first, last), first):
         partial += T * r**n
     return hermitian_part(partial)
 
@@ -145,13 +146,12 @@ def _tail(c: float, r: float, N: int) -> float:
 
 
 class _TermStore:
-    """The r-independent terms of one function's majorant series.
+    """The |A_n| of one function's majorant series, the one place checks
+    computes them.
 
     It keeps |A_n| for n = 0, 1, ... as stacks in n order, and the
     tail_norm_bound of f.coefficients(N) for each rung N visited. Growing
-    to a larger N converts only the coefficients not yet converted. The
-    A_n* A_n terms, which only EQ2 sums, are kept for one climb: caching
-    them too would hold a second stack for the life of the function.
+    to a larger N converts only the coefficients not yet converted.
 
     _term_store attaches a store to its function. The store keeps no
     reference back to it, so it is freed with the function without the
@@ -163,29 +163,30 @@ class _TermStore:
         self.abs = []
         self.tails = {}
 
-    def ladder(self, f: OperatorFunction, r: float, first: int = 0, kind: str = "abs"):
-        """Yield (N, partial, tail) for N = INITIAL_N, 2 INITIAL_N, ..., MAX_N.
+    def grow(self, f: OperatorFunction, N: int):
+        """(blocks, c) for a rung N: |A_n| stacks covering at least n <= N,
+        and the tail_norm_bound c of f.coefficients(N)."""
+        blocks = self.abs
+        have = sum(map(len, blocks))
+        if have <= N or N not in self.tails:
+            series = f.coefficients(N)
+            self.tails[N] = series.tail_norm_bound
+            pending = list(series.coeffs[have:])
+            del series
+            if pending:
+                # a new list: a climb in another thread keeps a whole stack
+                blocks = self.abs = blocks + _convert(pending)
+        return blocks, self.tails[N]
 
-        partial is the Hermitian part of sum_{first <= n <= N} T_n r^n and
-        tail the certified norm bound on the terms beyond N. Partial
-        majorant sums are Loewner-monotone in N, so a caller may stop at
-        the first rung that decides its question.
+    def ladder(self, f: OperatorFunction):
+        """Yield (N, *grow(f, N)) for N = INITIAL_N, 2 INITIAL_N, ..., MAX_N.
+
+        Partial majorant sums are Loewner-monotone in N, so a caller may
+        stop at the first rung that decides its question.
         """
-        blocks = self.abs if kind == "abs" else []
         N = INITIAL_N
         while N <= MAX_N:
-            have = sum(map(len, blocks))
-            if have <= N:
-                series = f.coefficients(N)
-                self.tails[N] = series.tail_norm_bound
-                pending = list(series.coeffs[have:])
-                del series
-                # a new list: a climb in another thread keeps a whole stack
-                blocks = blocks + _convert(pending, kind)
-                if kind == "abs":
-                    self.abs = blocks
-            c = self.tails[N]
-            yield N, _sum(blocks, r, first, N), _tail(c * c if kind == "gram" else c, r, N)
+            yield (N, *self.grow(f, N))
             N *= 2
 
 
@@ -197,6 +198,15 @@ def _term_store(f: OperatorFunction) -> _TermStore:
     return store
 
 
+def _abs_terms(f: OperatorFunction, n: int):
+    """|A_0|, ..., |A_n| of f, read from its term store at the rung covering n."""
+    N = INITIAL_N
+    while N < n:
+        N *= 2
+    blocks, _ = _term_store(f).grow(f, N)
+    return _terms(blocks, 0, n)
+
+
 def _adaptive_bohr(f: OperatorFunction, r: float, rhs: np.ndarray, tol: float) -> BohrVerdict:
     """Climb the truncation ladder until the verdict is conclusive.
 
@@ -205,9 +215,10 @@ def _adaptive_bohr(f: OperatorFunction, r: float, rhs: np.ndarray, tol: float) -
     """
     if not np.isfinite(tol):
         raise ValueError("tol must be finite")
-    for N, partial, tail in _term_store(f).ladder(f, r):
-        eig = hermitian_eigen(hermitian_part(partial - rhs))
+    for N, blocks, c in _term_store(f).ladder(f):
+        eig = hermitian_eigen(_sum(blocks, r, 0, N, f.dim) - rhs)
         extreme = float(eig.eigenvalues[-1])
+        tail = _tail(c, r, N)
         if extreme > tol:
             witness = eig.basis[:, -1].copy()
             return BohrVerdict(Status.VIOLATED, r, extreme, tail, N, witness)
@@ -296,13 +307,12 @@ def _radius_from_abs(abs_a0: np.ndarray) -> AdmissibleRadius:
     """
     dim = abs_a0.shape[0]
     eye = identity(dim)
-    S = psd_sqrt(hermitian_part((eye - abs_a0) / 2.0))
+    S = psd_sqrt((eye - abs_a0) / 2.0)
     r_sqrt = float(hermitian_eigen(S).eigenvalues[0])
     half_ok = loewner_leq(eye / 2.0, abs_a0).holds
     if not half_ok:
         return AdmissibleRadius(r_sqrt, Branch.SQRT)
-    inv = hermitian_part(np.linalg.inv(eye + 2.0 * abs_a0))
-    r_inv = float(hermitian_eigen(inv).eigenvalues[0])
+    r_inv = float(hermitian_eigen(np.linalg.inv(eye + 2.0 * abs_a0)).eigenvalues[0])
     if abs(r_inv - r_sqrt) <= 1e-12:
         return AdmissibleRadius(max(r_inv, r_sqrt), Branch.MAX)
     if r_inv > r_sqrt:
@@ -463,8 +473,7 @@ def _gram_verdict(f, left_of, samples) -> tuple[LoewnerVerdict, complex]:
         fz = f.evaluate(z)
         L = left_of(fz, A0)
         R = fz - A0
-        G = hermitian_part(L.conj().T @ L - R.conj().T @ R)
-        eig = hermitian_eigen(G)
+        eig = hermitian_eigen(L.conj().T @ L - R.conj().T @ R)
         gap = float(eig.eigenvalues[0])
         if gap < worst_gap:
             worst_gap = gap
@@ -481,21 +490,23 @@ def _gram_verdict(f, left_of, samples) -> tuple[LoewnerVerdict, complex]:
     return LoewnerVerdict(relation, worst_gap, GRAM_TOL, worst_vec), worst_z
 
 
-def _series_loewner(
-    f: OperatorFunction, r: float, rhs: np.ndarray, first: int, kind: str = "abs"
-) -> LoewnerVerdict:
-    """Loewner comparison of sum_{n >= first} T_n r^n against rhs (T_n as in
-    _convert).
+def _series_loewner(rungs, r: float, rhs: np.ndarray, first: int) -> LoewnerVerdict:
+    """Loewner comparison of sum_{n >= first} T_n r^n against rhs.
 
-    Climbs the truncation ladder until the tail is negligible (<= 1e-12),
-    then folds the remaining tail into the left side. If the top rung
-    still leaves a meaningful tail, a would-be LessOrEqual degrades to
-    Boundary rather than overclaiming.
+    rungs yields (N, blocks, c) as _TermStore.ladder does: stacks of T_n
+    covering n <= N (read only for the rung summed), and c >= ||T_n|| for
+    every n > N. The first rung whose
+    tail is negligible (<= 1e-12), or else the last, is summed and its tail
+    folded into the left side. If that still leaves a meaningful tail, a
+    would-be LessOrEqual degrades to Boundary rather than overclaiming.
     """
-    for _, partial, tail in _term_store(f).ladder(f, r, first, kind):
+    for N, blocks, c in rungs:
+        tail = _tail(c, r, N)
         if tail <= SERIES_TAIL_TARGET:
             break
-    padded = loewner_leq(partial + tail * identity(f.dim), rhs)
+    dim = len(rhs)
+    partial = _sum(blocks, r, first, N, dim)
+    padded = loewner_leq(partial + tail * identity(dim), rhs)
     if padded.relation is Order.LESS_OR_EQUAL:
         return padded
     raw = loewner_leq(partial, rhs)
@@ -556,6 +567,8 @@ def _validate_step(
 
     if spec.param == "z":
         samples = default_z_samples() if z_samples is None else np.asarray(z_samples)
+        if not len(samples):
+            raise ValueError("z_samples must not be empty")
         if step is ProofStep.EQ5:
             left = lambda fz, A0: eye - A0.conj().T @ fz
         else:
@@ -566,20 +579,20 @@ def _validate_step(
     if spec.param == "k":
         if k < 1:
             raise ValueError("k must be >= 1")
-        series = f.coefficients(k)
-        A0 = series.coeffs[0]
+        A0 = f.coefficient0()
         P = hermitian_part(A0.conj().T @ A0)
         S = _powers_sum(P, k)
         gap2 = hermitian_part(eye - P)
         if step is ProofStep.EQ9:
-            lhs = hermitian_part(sum(A.conj().T @ A for A in series.coeffs[1:]))
+            lhs = hermitian_part(sum(A.conj().T @ A for A in f.coefficients(k).coeffs[1:]))
             rhs = hermitian_part(gap2 @ gap2 @ S)
         else:
-            absA0 = abs_operator(A0)
+            absA = _abs_terms(f, k)
+            absA0 = next(absA)
             lhs = np.zeros((dim, dim), dtype=np.complex128)
             power = absA0.copy()
-            for A in series.coeffs[1:]:
-                lhs += abs_operator(A) @ power
+            for T in absA:
+                lhs += T @ power
                 power = power @ absA0
             lhs = hermitian_part(lhs)
             rhs = hermitian_part(absA0 @ gap2 @ S)
@@ -588,62 +601,58 @@ def _validate_step(
     if spec.param == "r":
         if not 0.0 <= r < 1.0:
             raise DomainError("r must lie in [0, 1)")
-        A0 = f.coefficient0()
+        rungs = _term_store(f).ladder(f)
+        first = 1
         if step is ProofStep.EQ11:
-            absA0 = abs_operator(A0)
+            absA0 = next(_abs_terms(f, 0))
             if not spec.applies(absA0, r):
                 raise HypothesisViolated("rI <= |A_0| fails; step not applicable")
             gap2 = hermitian_part(eye - absA0 @ absA0)
             rhs = hermitian_part(r * gap2 @ np.linalg.inv(eye - r * absA0))
-            verdict = _series_loewner(f, r, rhs, first=1)
         elif step is ProofStep.EQ12:
-            absA0 = abs_operator(A0)
-            gap2 = hermitian_part(eye - absA0 @ absA0)
-            rhs = psd_sqrt(gap2) * (r / np.sqrt(1.0 - r * r))
-            verdict = _series_loewner(f, r, rhs, first=1)
+            absA0 = next(_abs_terms(f, 0))
+            rhs = psd_sqrt(eye - absA0 @ absA0) * (r / np.sqrt(1.0 - r * r))
         elif step is ProofStep.EQ2:
-            gap = hermitian_part(eye - A0)
+            gap = hermitian_part(eye - f.coefficient0())
             rhs = 4.0 * hermitian_part(gap @ gap) * (r / (1.0 - r))
-            verdict = _series_loewner(f, r, rhs, first=1, kind="gram")
+            # sums |A_n|^2 = A_n* A_n, squared one stack at a time as the sum
+            # reads it; ||A_n|| <= c beyond a rung bounds ||A_n|^2|| by c^2
+            rungs = ((N, (T @ T for T in blocks), c * c) for N, blocks, c in rungs)
         elif step is ProofStep.THM2_FINAL:
-            rhs = 2.0 * hermitian_part(eye - A0) * (r / (1.0 - r))
-            verdict = _series_loewner(f, r, rhs, first=1)
+            rhs = 2.0 * hermitian_part(eye - f.coefficient0()) * (r / (1.0 - r))
         else:
             rhs = eye / np.sqrt(1.0 - r * r)
-            verdict = _series_loewner(f, r, rhs, first=0)
-        return ProofStepReport(step, float(r), verdict, float(r))
+            first = 0
+        return ProofStepReport(step, float(r), _series_loewner(rungs, r, rhs, first), float(r))
 
-    # EQ14
-    return _eq14_report(f.coefficients(1).coeffs, n=1)
+    return _eq14_chain(f, 1)[0]
 
 
-def _eq14_report(coeffs, n: int) -> ProofStepReport:
-    """|A_n| <= I - |A_0|^2 <= 2(I - |A_0|) as one chained verdict."""
-    A0 = coeffs[0]
-    An = coeffs[1] if len(coeffs) > 1 else np.zeros_like(A0)
-    dim = A0.shape[0]
-    eye = identity(dim)
-    absA0 = abs_operator(A0)
+def _eq14_chain(f: OperatorFunction, max_n: int) -> list[ProofStepReport]:
+    """|A_n| <= I - |A_0|^2 <= 2(I - |A_0|) as one chained verdict for each
+    n = 1..max_n; the second link does not depend on n."""
+    absA = _abs_terms(f, max_n)
+    absA0 = next(absA)
+    eye = identity(f.dim)
     mid = hermitian_part(eye - absA0 @ absA0)
     upper = hermitian_part(2.0 * (eye - absA0))
-    first = loewner_leq(abs_operator(An), mid)
     second = loewner_leq(mid, upper)
-    return ProofStepReport(ProofStep.EQ14, float(n), _worst(first, second), f"n={n}")
+    return [
+        ProofStepReport(ProofStep.EQ14, float(n), _worst(loewner_leq(T, mid), second), f"n={n}")
+        for n, T in enumerate(absA, 1)
+    ]
 
 
 def coefficient_bound_eq14(f: OperatorFunction, max_n: int = 32) -> list[ProofStepReport]:
-    """Chain bound for every coefficient index up to max_n.
+    """The eq14 chain |A_n| <= I - |A_0|^2 <= 2(I - |A_0|) for every
+    coefficient index 1 <= n <= max_n, one report per n.
 
-    Index n > 1 is reached by decimating the series so the target
-    coefficient becomes the linear one, mirroring root-of-unity averaging.
+    The report for n = 1 is the one proof_step_validate gives for eq14.
     """
+    if not max_n >= 1:
+        raise ValueError("max_n must be >= 1")
     require_hypotheses(f, STEPS[ProofStep.EQ14].family)
-    series = f.coefficients(max_n)
-    reports = [_eq14_report(series.coeffs, n=1)]
-    for n in range(2, max_n + 1):
-        dec = decimate(series, n)
-        reports.append(_eq14_report(dec.coeffs, n=n))
-    return reports
+    return _eq14_chain(f, max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -855,7 +864,7 @@ def counterexample_search(
         if f is None:
             skipped += 1
             continue
-        radius = _radius_from_abs(abs_operator(f.coefficient0()))
+        radius = _radius_from_abs(next(_abs_terms(f, 0)))
         verdict = check_bohr(f, radius.value)
         if verdict.status is Status.VIOLATED:
             witness = SearchWitness(trial, f, radius.value, radius.branch, verdict)

@@ -434,19 +434,6 @@ def reconstruct_from_transform(A0, phi: FunctionSamples) -> FunctionSamples:
     return FunctionSamples(phi.points.copy(), out)
 
 
-def decimate(series: CoefficientSeries, n: int) -> CoefficientSeries:
-    """Keep coefficients with index divisible by n: (A_0, A_n, A_2n, ...).
-
-    Mirrors averaging f over rotations by n-th roots of unity followed by
-    the substitution z^n -> z.
-    """
-    if n < 2:
-        raise ValueError("decimation step must be >= 2")
-    return CoefficientSeries(
-        tuple(series.coeffs[::n]), series.tail_norm_bound, exact=series.exact
-    )
-
-
 # ---------------------------------------------------------------------------
 # instance generators (deterministic in seed)
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bohrlab.checks import (
+    INITIAL_N,
     Branch,
     ProofStep,
     RADIUS_CAP,
@@ -47,7 +48,7 @@ from bohrlab.functions import (
     generate_transfer_instance,
     mobius_witness,
 )
-from bohrlab.linalg import identity
+from bohrlab.linalg import abs_operator, hermitian_part, identity, loewner_leq
 
 
 def scalar_majorant(lam: float, r: float) -> float:
@@ -158,8 +159,8 @@ def test_threads_sharing_one_function_get_the_verdicts_of_a_fresh_one():
     assert got == [expected[r] for r in radii]
 
 
-def test_bisection_generates_each_rung_once():
-    f = mobius_witness(0.75, degree=2)
+def _count_orders(f) -> list:
+    """Record the N of every f.coefficients(N) call from now on."""
     orders = []
     generate = f.coefficients
 
@@ -168,9 +169,29 @@ def test_bisection_generates_each_rung_once():
         return generate(N)
 
     f.coefficients = counting
+    return orders
+
+
+def test_bisection_generates_each_rung_once():
+    f = mobius_witness(0.75, degree=2)
+    orders = _count_orders(f)
     radius = empirical_bohr_radius(f)
     assert abs(radius - 0.4**0.5) <= 1e-5
     assert orders and len(orders) == len(set(orders))
+
+    # the proof steps read the same store: no rung is generated again
+    proof_step_validate(f, "eq10", k=20)
+    proof_step_validate(f, "eq12", r=0.9)
+    coefficient_bound_eq14(f)
+    g = generate_thm2_instance(3, seed=8)
+    g_orders = _count_orders(g)
+    for r in (0.5, 0.95):
+        check_thm2_bounds(g, r)
+        proof_step_validate(g, "eq2", r=r)
+        proof_step_validate(g, "thm2final", r=r)
+    for seen in (orders, g_orders):
+        rungs = [N for N in seen if N >= INITIAL_N]
+        assert rungs and len(rungs) == len(set(rungs))
 
 
 def test_a_checked_function_is_freed_without_the_cycle_collector():
@@ -320,6 +341,18 @@ def test_step_class_gates():
     assert proof_step_validate(m, "bb2remark", r=0.5).verdict.holds
 
 
+def test_eq2_matches_a_direct_sum_of_gram_terms():
+    f = generate_thm2_instance(3, seed=41)
+    coeffs = f.coefficients(1000).coeffs
+    gap = identity(3) - coeffs[0]
+    for r in (0.3, 0.6, 0.9):
+        lhs = sum(A.conj().T @ A * r**n for n, A in enumerate(coeffs[1:], 1))
+        rhs = 4.0 * gap @ gap * (r / (1.0 - r))
+        reference = np.linalg.eigvalsh(hermitian_part(rhs - lhs))[0]
+        got = proof_step_validate(f, "eq2", r=r).verdict.min_gap
+        assert abs(got - reference) <= 1e-12, r
+
+
 def test_halfplane_steps_check_the_real_part_bound():
     # 2t(1 - Re beta) = 0.2 > 1 - |beta|^2 = 0.19: Re f exceeds I near z = 1
     bad = HalfPlaneLift(np.eye(1), [0.5], 1.0, 0.9)
@@ -337,6 +370,11 @@ def test_step_parameter_domains():
     f = mobius_witness(0.5)
     with pytest.raises(ValueError):
         proof_step_validate(f, "eq9", k=0)
+    # an empty sample set used to raise a bare IndexError
+    with pytest.raises(ValueError):
+        proof_step_validate(f, "eq5", z_samples=[])
+    with pytest.raises(ValueError):
+        proof_step_validate(generate_thm2_instance(2, seed=8), "eq1", z_samples=[])
     with pytest.raises(DomainError):
         proof_step_validate(f, "eq12", r=1.0)
     with pytest.raises(ValueError):
@@ -349,6 +387,50 @@ def test_eq14_decimation_chain():
     assert len(reports) == 8
     assert all(rep.verdict.holds for rep in reports)
     assert [rep.k_or_r for rep in reports] == [float(n) for n in range(1, 9)]
+
+
+def _loewner_bytes(v) -> tuple:
+    witness = None if v.witness is None else v.witness.tobytes()
+    return (v.relation, v.min_gap, v.tolerance, witness)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        generate_thm1_instance(3, degrees=(1, 10), seed=17),
+        Polynomial([0.2 * np.eye(2), np.diag([0.5, 0.8])]),
+    ],
+)
+def test_eq14_chain_equals_a_per_coefficient_reference(f):
+    max_n = 70
+    coeffs = f.coefficients(max_n).coeffs
+    eye = identity(f.dim)
+    abs_a0 = abs_operator(coeffs[0])
+    mid = hermitian_part(eye - abs_a0 @ abs_a0)
+    second = loewner_leq(mid, hermitian_part(2.0 * (eye - abs_a0)))
+    rank = {"nleq": 2, "boundary": 1, "leq": 0}
+    expected = []
+    for n in range(1, max_n + 1):
+        first = loewner_leq(abs_operator(coeffs[n]), mid)
+        lead = first if rank[first.relation.value] >= rank[second.relation.value] else second
+        witness = None if lead.witness is None else lead.witness.tobytes()
+        gap, tol = min(first.min_gap, second.min_gap), max(first.tolerance, second.tolerance)
+        expected.append((float(n), f"n={n}", lead.relation, gap, tol, witness))
+    chain = coefficient_bound_eq14(f, max_n=max_n)
+    got = [(rep.k_or_r, rep.location, *_loewner_bytes(rep.verdict)) for rep in chain]
+    assert got == expected
+    step = proof_step_validate(f, "eq14")
+    assert (step.k_or_r, step.location, *_loewner_bytes(step.verdict)) == expected[0]
+
+
+def test_eq14_needs_a_coefficient_to_bound():
+    f = Polynomial([0.2 * np.eye(2), 0.8 * np.eye(2)])
+    # max_n=0 used to report n=1 with A_1 replaced by 0 (min_gap 0.64)
+    for max_n in (0, -1, np.nan):
+        with pytest.raises(ValueError):
+            coefficient_bound_eq14(f, max_n=max_n)
+    (only,) = coefficient_bound_eq14(f, max_n=1)
+    assert abs(only.verdict.min_gap - 0.16) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

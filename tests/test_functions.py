@@ -20,7 +20,6 @@ from bohrlab.functions import (
     TransferRealization,
     certified_sup,
     coefficients_dft,
-    decimate,
     generate_thm1_instance,
     generate_thm2_instance,
     generate_transfer_instance,
@@ -340,17 +339,6 @@ def test_dft_recovers_polynomial_coefficients():
     for n in range(6):
         err = operator_norm(s.coeffs[n] - f.coeffs[n])
         assert err <= float(s.aliasing_bounds[n])
-
-
-def test_decimate_keeps_every_nth_coefficient():
-    f = mobius_witness(0.6)
-    s = f.coefficients(12)
-    d = decimate(s, 3)
-    assert d.order == 4
-    for j in range(5):
-        assert frobenius(d.coeffs[j] - s.coeffs[3 * j]) == 0.0
-    with pytest.raises(ValueError):
-        decimate(s, 1)
 
 
 # ---------------------------------------------------------------------------
