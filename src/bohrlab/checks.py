@@ -165,10 +165,14 @@ class _TermStore:
 
     def grow(self, f: OperatorFunction, N: int):
         """(blocks, c) for a rung N: |A_n| stacks covering at least n <= N,
-        and the tail_norm_bound c of f.coefficients(N)."""
+        and the tail_norm_bound c of f.coefficients(N).
+
+        Callers climb the rungs in order, so a store that covers N has
+        visited rung N and holds its tail bound.
+        """
         blocks = self.abs
         have = sum(map(len, blocks))
-        if have <= N or N not in self.tails:
+        if have <= N:
             series = f.coefficients(N)
             self.tails[N] = series.tail_norm_bound
             pending = list(series.coeffs[have:])
@@ -199,11 +203,14 @@ def _term_store(f: OperatorFunction) -> _TermStore:
 
 
 def _abs_terms(f: OperatorFunction, n: int):
-    """|A_0|, ..., |A_n| of f, read from its term store at the rung covering n."""
+    """|A_0|, ..., |A_n| of f, read from its term store, climbing its rungs
+    up to the one covering n."""
+    store = _term_store(f)
     N = INITIAL_N
+    blocks, _ = store.grow(f, N)
     while N < n:
         N *= 2
-    blocks, _ = _term_store(f).grow(f, N)
+        blocks, _ = store.grow(f, N)
     return _terms(blocks, 0, n)
 
 

@@ -23,7 +23,9 @@ from . import __version__
 from .checks import (
     DEFAULT_BOHR_TOL,
     STEPS,
+    BohrVerdict,
     ProofStep,
+    Status,
     build_radius_report,
     check_bb2_norm_bound,
     check_bohr,
@@ -111,50 +113,64 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
+def _grid(spec) -> list[float]:
+    """The lam values of a grid: start:stop:count, a comma list, or a list of numbers."""
+    if not isinstance(spec, str):
+        return [float(x) for x in spec]
+    if ":" in spec:
+        parts = spec.split(":")
+        if len(parts) != 3:
+            raise ValueError("grid spec must be start:stop:count or a comma list")
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if count < 1:
+            raise ValueError("grid count must be >= 1")
+        return [float(x) for x in np.linspace(start, stop, count)]
+    return [float(x) for x in spec.split(",") if x]
+
+
+# the conversion a command applies to each value, tried where the config is
+# read so that a value of the wrong type is a clean error; None passes for
+# the keys whose default is None
+_CONVERSIONS = {
+    **dict.fromkeys(("count", "seed", "k", "samples", "budget", "pin_degree", "state_dim"), int),
+    **dict.fromkeys(("tol", "delta", "pin_lambda"), float),
+    "dims": lambda v: [int(d) for d in v],
+    "radii": lambda v: [float(r) for r in v],
+    "steps": list,
+    "grid": _grid,
+    "output_dir": os.fspath,
+}
+# the keys whose converted value is the one the config holds
+_CONVERTED_IN_CONFIG = ("dims", "count", "seed", "radii", "samples", "budget")
+
+
 def effective_config(args) -> dict:
     """Defaults, overlaid by the config file, overlaid by CLI flags."""
     cfg = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(_load_config_file(args.config))
-    flags = {
-        "class": getattr(args, "klass", None),
-        "dims": getattr(args, "dim", None),
-        "count": getattr(args, "count", None),
-        "seed": getattr(args, "seed", None),
-        "radii": getattr(args, "r", None),
-        "steps": getattr(args, "steps", None),
-        "tol": getattr(args, "tol", None),
-        "k": getattr(args, "k", None),
-        "budget": getattr(args, "budget", None),
-        "relax": getattr(args, "relax", None),
-        "output_dir": getattr(args, "out", None),
-        "format": getattr(args, "format", None),
-        "grid": getattr(args, "grid", None),
-    }
-    for key, value in flags.items():
-        if value is not None:
-            cfg[key] = value
+    for key in CONFIG_DEFAULTS:
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     if cfg["seed"] is None:
         env = os.environ.get("BOHRLAB_SEED")
         cfg["seed"] = int(env) if env else 0
     if isinstance(cfg["steps"], str):
         cfg["steps"] = [s for s in cfg["steps"].split(",") if s]
-
-    cfg["count"] = int(cfg["count"])
-    cfg["seed"] = int(cfg["seed"])
-    cfg["budget"] = int(cfg["budget"])
-    cfg["samples"] = int(cfg["samples"])
-    cfg["dims"] = [int(d) for d in cfg["dims"]]
-    if cfg["radii"] is not None:
-        cfg["radii"] = [float(r) for r in cfg["radii"]]
-    if cfg["count"] < 1:
-        raise ValueError("count must be >= 1")
-    if cfg["budget"] < 1:
-        raise ValueError("budget must be >= 1")
-    if cfg["samples"] < 1:
-        raise ValueError("samples must be >= 1")
-    if any(d < 1 for d in cfg["dims"]):
-        raise ValueError("dims must all be >= 1")
+    for key, convert in _CONVERSIONS.items():
+        if cfg[key] is None and CONFIG_DEFAULTS[key] is None:
+            continue
+        try:
+            value = convert(cfg[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"config key {key!r} cannot take {cfg[key]!r}: {exc}") from None
+        if key in _CONVERTED_IN_CONFIG:
+            cfg[key] = value
+    for key in ("count", "budget", "samples"):
+        if cfg[key] < 1:
+            raise ValueError(f"{key} must be >= 1")
+    if not cfg["dims"] or min(cfg["dims"]) < 1:
+        raise ValueError("dims must be a non-empty list of integers >= 1")
     if cfg["radii"] is not None and any(not 0.0 <= r < 1.0 for r in cfg["radii"]):
         raise ValueError("radii must lie in [0, 1)")
     return cfg
@@ -170,11 +186,8 @@ def _config_hash(command: str, cfg: dict) -> str:
 # run records
 # ---------------------------------------------------------------------------
 
-def _summarize(entries) -> dict:
-    counts = {"holds": 0, "violated": 0, "inconclusive": 0}
-    for entry in entries:
-        counts[entry["status"]] += 1
-    return counts
+# verdict statuses, mildest first
+_SEVERITY = ("holds", "inconclusive", "violated")
 
 
 def _exit_for(summary: dict) -> int:
@@ -185,18 +198,31 @@ def _exit_for(summary: dict) -> int:
     return EXIT_OK
 
 
-def _record(command: str, argv, cfg_hash: str, entries, summary, extra=None) -> dict:
-    rec = {
+def _record(command: str, argv, cfg: dict, entries, extra=None) -> dict:
+    """The run record of a campaign: how it ran, its verdict rows and their counts."""
+    return {
         "command": command,
         "command_line": " ".join(["bohrlab"] + list(argv)),
-        "config_hash": cfg_hash,
+        "config_hash": _config_hash(command, cfg),
         "tool_version": __version__,
         "verdicts": entries,
-        "summary": summary,
+        "summary": {status: sum(e["status"] == status for e in entries) for status in _SEVERITY},
+        **(extra or {}),
     }
-    if extra:
-        rec.update(extra)
-    return rec
+
+
+def _finish(args, argv, cfg, entries, extra, suffix="") -> int:
+    """Write the run record of a verdict campaign and return its exit code.
+    With --out, also print the summary counts, then suffix."""
+    record = _record(args.command, argv, cfg, entries, extra)
+    summary = record["summary"]
+    _emit(canonical_dumps(record), args.output_dir)
+    if args.output_dir:
+        print(
+            f"holds={summary['holds']} violated={summary['violated']} "
+            f"inconclusive={summary['inconclusive']}{suffix}"
+        )
+    return _exit_for(summary)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -205,6 +231,11 @@ def _emit(text: str, out: str | None) -> None:
         print(f"wrote {out}")
     else:
         sys.stdout.write(text)
+
+
+def _row(name: str, ff: FunctionFile, fields: dict) -> dict:
+    """A verdict row: the instance it is about, then its verdict fields."""
+    return {"instance_id": name, "class": ff.klass, "dim": ff.function.dim, **fields}
 
 
 def _load_files(paths):
@@ -226,18 +257,15 @@ def cmd_gen(args, argv) -> int:
     for i in range(cfg["count"]):
         dim = dims[i % len(dims)]
         seed_i = cfg["seed"] + i
-        report = None
-        if klass == "thm1":
-            if cfg["pin_lambda"] is not None:
-                f = mobius_witness(float(cfg["pin_lambda"]), int(cfg["pin_degree"]))
-            else:
-                f = generate_thm1_instance(dim, seed=seed_i)
-            report = hypothesis_check(f, "thm1").to_dict()
+        if klass == "thm1" and cfg["pin_lambda"] is not None:
+            f = mobius_witness(float(cfg["pin_lambda"]), int(cfg["pin_degree"]))
+        elif klass == "thm1":
+            f = generate_thm1_instance(dim, seed=seed_i)
         elif klass == "thm2":
             f = generate_thm2_instance(dim, seed_i)
-            report = hypothesis_check(f, "thm2").to_dict()
         else:
             f = generate_transfer_instance(dim, int(cfg["state_dim"]), seed_i)
+        report = None if klass == "transfer" else hypothesis_check(f, klass).to_dict()
         path = os.path.join(out_dir, f"{klass}_{i:04d}.json")
         save_function_file(path, FunctionFile(f, klass, seed_i, report))
         print(path)
@@ -261,7 +289,7 @@ def cmd_coeffs(args, argv) -> int:
         "tool_version": __version__,
         "items": items,
     }
-    _emit(canonical_dumps(record), args.out)
+    _emit(canonical_dumps(record), args.output_dir)
     return EXIT_OK
 
 
@@ -278,9 +306,7 @@ def _default_radii(theorem: str, ff: FunctionFile) -> list[float]:
                 f"no default radius for this instance ({exc}); pass --r"
             ) from exc
         return [max(0.0, guaranteed.value - 1e-6)]
-    if theorem == "cor1":
-        return [1.0 / 3.0]
-    if theorem == "thm2":
+    if theorem in ("cor1", "thm2"):
         return [1.0 / 3.0]
     return [0.5]
 
@@ -298,13 +324,12 @@ def cmd_verify(args, argv) -> int:
         radii = cfg["radii"] if cfg["radii"] is not None else _default_radii(theorem, ff)
         for r in radii:
             r = float(r)
-            entry = {"instance_id": name, "class": ff.klass, "dim": ff.function.dim}
             if theorem in ("thm1", "cor1"):
-                entry.update(verdict_to_json(check_bohr(ff.function, r, tol)))
+                fields = verdict_to_json(check_bohr(ff.function, r, tol))
             elif theorem == "cor2":
-                entry.update(verdict_to_json(check_cor2(ff.function, r, tol)))
+                fields = verdict_to_json(check_cor2(ff.function, r, tol))
             elif theorem == "bb2remark":
-                entry.update(verdict_to_json(check_bb2_norm_bound(ff.function, r, tol)))
+                fields = verdict_to_json(check_bb2_norm_bound(ff.function, r, tol))
             else:
                 bounds = check_thm2_bounds(ff.function, r, tol)
                 parts = [
@@ -312,26 +337,10 @@ def cmd_verify(args, argv) -> int:
                     proof_report_to_json(bounds.eq2),
                     proof_report_to_json(bounds.final),
                 ]
-                entry.update(parts[0])
-                statuses = [p["status"] for p in parts]
-                for worst in ("violated", "inconclusive"):
-                    if worst in statuses:
-                        entry["status"] = worst
-                        break
-                entry["parts"] = parts
-            entries.append(entry)
-    summary = _summarize(entries)
-    record = _record(
-        "verify", argv, _config_hash("verify", cfg), entries, summary,
-        extra={"theorem": theorem},
-    )
-    _emit(canonical_dumps(record), args.out)
-    if args.out:
-        print(
-            f"holds={summary['holds']} violated={summary['violated']} "
-            f"inconclusive={summary['inconclusive']}"
-        )
-    return _exit_for(summary)
+                worst = max((p["status"] for p in parts), key=_SEVERITY.index)
+                fields = {**parts[0], "status": worst, "parts": parts}
+            entries.append(_row(name, ff, fields))
+    return _finish(args, argv, cfg, entries, {"theorem": theorem})
 
 
 # ---------------------------------------------------------------------------
@@ -363,22 +372,9 @@ def cmd_proofcheck(args, argv) -> int:
                     skipped += 1
                     continue
                 rep = proof_step_validate(f, step, k=k, r=r, z_samples=samples)
-                entry = {"instance_id": name, "class": ff.klass, "dim": f.dim}
-                entry.update(proof_report_to_json(rep))
-                entry["location"] = str(rep.location)
-                entries.append(entry)
-    summary = _summarize(entries)
-    record = _record(
-        "proofcheck", argv, _config_hash("proofcheck", cfg), entries, summary,
-        extra={"skipped": skipped},
-    )
-    _emit(canonical_dumps(record), args.out)
-    if args.out:
-        print(
-            f"holds={summary['holds']} violated={summary['violated']} "
-            f"inconclusive={summary['inconclusive']} skipped={skipped}"
-        )
-    return _exit_for(summary)
+                fields = {**proof_report_to_json(rep), "location": str(rep.location)}
+                entries.append(_row(name, ff, fields))
+    return _finish(args, argv, cfg, entries, {"skipped": skipped}, f" skipped={skipped}")
 
 
 # ---------------------------------------------------------------------------
@@ -395,51 +391,26 @@ def cmd_radius(args, argv) -> int:
         f = ff.function
         require_hypotheses(f, "thm1")
         rep = build_radius_report(f, tol)
-        entry = {
-            "instance_id": name,
-            "class": ff.klass,
-            "dim": f.dim,
-            "status": "holds" if rep.margin >= -tol else "violated",
-            "r": rep.empirical_radius,
-            "lhs_extreme": -rep.margin,
-            "truncation_gap": 0.0,
-            "N_used": 0,
-            "witness": None,
-            "step": None,
-        }
-        entry.update(radius_report_to_json(rep))
-        entries.append(entry)
-    summary = _summarize(entries)
-    record = _record("radius", argv, _config_hash("radius", cfg), entries, summary)
-    _emit(canonical_dumps(record), args.out)
+        status = Status.HOLDS if rep.margin >= -tol else Status.VIOLATED
+        verdict = BohrVerdict(status, rep.empirical_radius, -rep.margin, 0.0, 0)
+        entries.append(_row(name, ff, {**verdict_to_json(verdict), **radius_report_to_json(rep)}))
+    record = _record("radius", argv, cfg, entries)
+    _emit(canonical_dumps(record), args.output_dir)
     # a violated row means guaranteed > empirical + tol: an implementation bug
-    return EXIT_VIOLATED if summary["violated"] else EXIT_OK
+    return _exit_for(record["summary"])
 
 
 # ---------------------------------------------------------------------------
 # sharpness
 # ---------------------------------------------------------------------------
 
-def _parse_grid(spec: str) -> list[float]:
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError("grid spec must be start:stop:count or a comma list")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ValueError("grid count must be >= 1")
-        return [float(x) for x in np.linspace(start, stop, count)]
-    return [float(x) for x in spec.split(",") if x]
-
-
 def cmd_sharpness(args, argv) -> int:
     cfg = effective_config(args)
     spec = cfg["grid"]
     if not spec:
         raise ValueError("sharpness needs a grid spec (start:stop:count or comma list)")
-    grid = _parse_grid(spec) if isinstance(spec, str) else [float(x) for x in spec]
-    rows = sharpness_scan(grid, float(cfg["delta"]))
-    _emit(sharpness_rows_to_csv(rows), args.out)
+    rows = sharpness_scan(_grid(spec), float(cfg["delta"]))
+    _emit(sharpness_rows_to_csv(rows), args.output_dir)
     return EXIT_OK if all(row.confirmed for row in rows) else EXIT_VIOLATED
 
 
@@ -463,21 +434,13 @@ def cmd_search(args, argv) -> int:
     witness_path = None
     if result.witness is not None:
         w = result.witness
-        witness_path = os.path.join(out_dir, f"witness_{relax}_d{dim}_s{cfg['seed']}.json")
-        save_function_file(
-            witness_path,
-            FunctionFile(w.function, KIND_TO_CLASS[w.function.kind], cfg["seed"], None),
-        )
-        entry = {
-            "instance_id": os.path.basename(witness_path),
-            "class": KIND_TO_CLASS[w.function.kind],
-            "dim": w.function.dim,
-        }
-        entry.update(verdict_to_json(w.verdict))
-        entries.append(entry)
-        extra["witness_path"] = os.path.basename(witness_path)
-    summary = _summarize(entries)
-    record = _record("search", argv, _config_hash("search", cfg), entries, summary, extra)
+        witness = FunctionFile(w.function, KIND_TO_CLASS[w.function.kind], cfg["seed"], None)
+        witness_name = f"witness_{relax}_d{dim}_s{cfg['seed']}.json"
+        witness_path = os.path.join(out_dir, witness_name)
+        save_function_file(witness_path, witness)
+        entries.append(_row(witness_name, witness, verdict_to_json(w.verdict)))
+        extra["witness_path"] = witness_name
+    record = _record("search", argv, cfg, entries, extra)
     write_text(os.path.join(out_dir, f"{stem}.json"), canonical_dumps(record))
     if witness_path is None:
         print("none")
@@ -490,31 +453,43 @@ def cmd_search(args, argv) -> int:
 # report
 # ---------------------------------------------------------------------------
 
+# the verdict-row fields report converts, with the JSON types they must have
+_ROW_NUMBERS = {"dim": int, "r": (int, float), "lhs_extreme": (int, float)}
+
+
+def _check_record(path, rec) -> None:
+    """Raise ValueError unless rec has the shape of a run record."""
+    if not (isinstance(rec, dict) and isinstance(rec.get("verdicts"), list)
+            and isinstance(rec.get("summary"), dict)):
+        raise ValueError(f"{path}: not a run record (needs a verdicts list and a summary object)")
+    if not all(isinstance(count, int) for count in rec["summary"].values()):
+        raise ValueError(f"{path}: summary counts must be integers")
+    for row in rec["verdicts"]:
+        if not (isinstance(row, dict)
+                and all(isinstance(row.get(k), kind) for k, kind in _ROW_NUMBERS.items())):
+            raise ValueError(f"{path}: each verdict row needs an integer dim and numbers r, lhs_extreme")
+
+
 def _aggregate(paths) -> dict:
     records = []
     for path in paths:
         rec = json.loads(read_text(path))
-        if "verdicts" not in rec or "summary" not in rec:
-            raise ValueError(f"{path}: not a run record (missing verdicts/summary)")
+        _check_record(path, rec)
         records.append((os.path.basename(path), rec))
-    totals = {"holds": 0, "violated": 0, "inconclusive": 0}
+    totals = dict.fromkeys(_SEVERITY, 0)
     rows = []
-    margins = []
     reproduce = []
     for name, rec in records:
         for key in totals:
-            totals[key] += int(rec["summary"].get(key, 0))
+            totals[key] += rec["summary"].get(key, 0)
         line = rec.get("command_line")
         if line:
             reproduce.append(line)
         for e in rec["verdicts"]:
             margin = -float(e["lhs_extreme"])
-            rows.append(
-                (e["instance_id"], e["class"], e["dim"], e["r"], e["status"], margin)
-            )
-            margins.append(margin)
-    if margins:
-        counts, edges = np.histogram(np.array(margins), bins=10)
+            rows.append((e["instance_id"], e["class"], e["dim"], e["r"], e["status"], margin))
+    if rows:
+        counts, edges = np.histogram(np.array([row[-1] for row in rows]), bins=10)
         histogram = {
             "edges": [float(x) for x in edges],
             "counts": [int(c) for c in counts],
@@ -568,7 +543,7 @@ def cmd_report(args, argv) -> int:
         text = canonical_dumps(body)
     else:
         text = _report_md(agg)
-    _emit(text, args.out)
+    _emit(text, args.output_dir)
     return EXIT_OK
 
 
@@ -586,7 +561,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub):
     sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--out", help="output path (directory for gen/search)")
+    sub.add_argument("--out", dest="output_dir", metavar="OUT",
+                     help="output path (directory for gen/search)")
 
 
 @functools.cache
@@ -596,8 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("gen", help="write function instance files")
-    p.add_argument("--class", dest="klass", choices=("thm1", "thm2", "transfer"))
-    p.add_argument("--dim", type=int, action="append")
+    p.add_argument("--class", choices=("thm1", "thm2", "transfer"))
+    p.add_argument("--dim", dest="dims", metavar="DIM", type=int, action="append")
     p.add_argument("--count", type=int)
     p.add_argument("--seed", type=int)
     _add_common(p)
@@ -610,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="run a verdict campaign")
     p.add_argument("files", nargs="+")
     p.add_argument("--theorem", choices=THEOREMS, default="thm1")
-    p.add_argument("--r", type=float, action="append")
+    p.add_argument("--r", dest="radii", metavar="R", type=float, action="append")
     p.add_argument("--tol", type=float)
     _add_common(p)
 
@@ -618,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     p.add_argument("--steps", help="comma list of step names")
     p.add_argument("--k", type=int)
-    p.add_argument("--r", type=float, action="append")
+    p.add_argument("--r", dest="radii", metavar="R", type=float, action="append")
     _add_common(p)
 
     p = subs.add_parser("radius", help="guaranteed vs empirical radius")
@@ -632,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("search", help="hunt for violations under a relaxed hypothesis")
     p.add_argument("--relax", choices=("drop-commutation", "drop-normality", "weak-norm-bound"))
-    p.add_argument("--dim", type=int, action="append")
+    p.add_argument("--dim", dest="dims", metavar="DIM", type=int, action="append")
     p.add_argument("--budget", type=int)
     p.add_argument("--seed", type=int)
     _add_common(p)

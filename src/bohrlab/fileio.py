@@ -34,14 +34,6 @@ VALID_CLASSES = ("thm1", "thm2", "transfer", "polynomial")
 
 _NUMBER = (int, float)
 
-# JSON shape of each payload field per kind: a type, or [type] for a list of them
-_PAYLOAD_SHAPES = {
-    "polynomial": {"coeffs": [dict]},
-    "mobius": {"basis": dict, "lambdas": [list], "phases": [list], "degrees": [int]},
-    "transfer": {"colligation": dict, "state_dim": int},
-    "halfplane": {"basis": dict, "diag": [_NUMBER], "t": _NUMBER, "beta": list},
-}
-
 # default hypothesis-class tag per representation kind
 KIND_TO_CLASS = {
     "polynomial": "polynomial",
@@ -122,52 +114,46 @@ class FunctionFile:
     hypothesis: dict | None = None
 
 
+def _list_of(codec):
+    shape, encode, decode = codec
+    return [shape], lambda xs: [encode(x) for x in xs], lambda xs: [decode(x) for x in xs]
+
+
+# payload field codecs (JSON shape, encoder, decoder); a shape is a type, or
+# [type] for a list of them, or None for an optional field left unchecked
+_MATRIX = (dict, matrix_to_json, json_to_matrix)
+_COMPLEX = (list, _pair, _unpair)
+_REAL = (_NUMBER, float, float)
+_INT = (int, int, int)
+
+# kind: (class, {constructor field in order: codec}); each field is read from
+# and written to the attribute of the same name
+_PAYLOADS = {
+    "polynomial": (Polynomial, {"coeffs": _list_of(_MATRIX)}),
+    "mobius": (MobiusLift, {
+        "basis": _MATRIX,
+        "lambdas": _list_of(_COMPLEX),
+        "phases": _list_of(_COMPLEX),
+        "degrees": _list_of(_INT),
+        "allow_boundary": (None, bool, bool),
+    }),
+    "transfer": (TransferRealization, {"colligation": _MATRIX, "state_dim": _INT}),
+    "halfplane": (HalfPlaneLift, {
+        "basis": _MATRIX, "diag": _list_of(_REAL), "t": _REAL, "beta": _COMPLEX,
+    }),
+}
+
+
 def _function_data(f: OperatorFunction) -> dict:
-    if isinstance(f, Polynomial):
-        return {"coeffs": [matrix_to_json(c) for c in f.coeffs]}
-    if isinstance(f, MobiusLift):
-        return {
-            "basis": matrix_to_json(f.basis),
-            "lambdas": [_pair(z) for z in f.lambdas],
-            "phases": [_pair(z) for z in f.phases],
-            "degrees": [int(m) for m in f.degrees],
-            "allow_boundary": bool(f.allow_boundary),
-        }
-    if isinstance(f, TransferRealization):
-        return {
-            "colligation": matrix_to_json(f.colligation),
-            "state_dim": int(f.state_dim),
-        }
-    if isinstance(f, HalfPlaneLift):
-        return {
-            "basis": matrix_to_json(f.basis),
-            "diag": [float(x) for x in f.diag],
-            "t": float(f.t),
-            "beta": _pair(f.beta),
-        }
-    raise ValueError(f"cannot serialize function kind {f.kind!r}")
+    if f.kind not in _PAYLOADS:
+        raise ValueError(f"cannot serialize function kind {f.kind!r}")
+    fields = _PAYLOADS[f.kind][1]
+    return {name: encode(getattr(f, name)) for name, (_, encode, _) in fields.items()}
 
 
 def _build_function(kind: str, data: dict) -> OperatorFunction:
-    if kind == "polynomial":
-        return Polynomial([json_to_matrix(c) for c in data["coeffs"]])
-    if kind == "mobius":
-        return MobiusLift(
-            json_to_matrix(data["basis"]),
-            [_unpair(p) for p in data["lambdas"]],
-            [_unpair(p) for p in data["phases"]],
-            data["degrees"],
-            allow_boundary=bool(data.get("allow_boundary", False)),
-        )
-    if kind == "transfer":
-        return TransferRealization(json_to_matrix(data["colligation"]), data["state_dim"])
-    if kind == "halfplane":
-        return HalfPlaneLift(
-            json_to_matrix(data["basis"]),
-            data["diag"],
-            data["t"],
-            _unpair(data["beta"]),
-        )
+    cls, fields = _PAYLOADS[kind]
+    return cls(*(decode(data.get(name)) for name, (_, _, decode) in fields.items()))
 
 
 def function_file_to_json(ff: FunctionFile) -> dict:
@@ -188,16 +174,16 @@ def serialize_function_file(ff: FunctionFile) -> str:
 
 
 def _check_payload(kind, data) -> None:
-    if not isinstance(kind, str) or kind not in _PAYLOAD_SHAPES:
+    if not isinstance(kind, str) or kind not in _PAYLOADS:
         raise ValueError(f"unknown function kind {kind!r}")
     if not isinstance(data, dict):
         raise ValueError("function file data must be a JSON object")
-    for field, shape in _PAYLOAD_SHAPES[kind].items():
+    for field, (shape, _, _) in _PAYLOADS[kind][1].items():
         value = data.get(field)
         if isinstance(shape, list):
             ok = isinstance(value, list) and all(isinstance(x, shape[0]) for x in value)
         else:
-            ok = isinstance(value, shape)
+            ok = shape is None or isinstance(value, shape)
         if not ok:
             raise ValueError(f"{kind} data field {field!r} is missing or malformed")
 
@@ -271,15 +257,8 @@ def proof_report_to_json(rep: ProofStepReport) -> dict:
     """
     lw = rep.verdict
     status = Status.VIOLATED if lw.relation is Order.NOT_LESS_OR_EQUAL else Status.HOLDS
-    return {
-        "status": status.value,
-        "r": float(rep.k_or_r),
-        "lhs_extreme": float(-lw.min_gap),
-        "truncation_gap": 0.0,
-        "N_used": 0,
-        "witness": None if lw.witness is None else vector_to_json(lw.witness),
-        "step": rep.step.value,
-    }
+    verdict = BohrVerdict(status, rep.k_or_r, -lw.min_gap, 0.0, 0, lw.witness)
+    return verdict_to_json(verdict, rep.step.value)
 
 
 def radius_report_to_json(rep: RadiusReport) -> dict:

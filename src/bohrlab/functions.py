@@ -167,6 +167,9 @@ class Polynomial(OperatorFunction):
             acc = acc * z + A
         return acc
 
+    def coefficient0(self) -> np.ndarray:
+        return self.coeffs[0]
+
     def coefficients(self, N: int) -> CoefficientSeries:
         if N < 0:
             raise ValueError("N must be >= 0")
@@ -281,6 +284,9 @@ class TransferRealization(OperatorFunction):
             raise NotInvertible(str(exc)) from exc
         return D + z * (C @ X)
 
+    def coefficient0(self) -> np.ndarray:
+        return self.blocks[3].copy()
+
     def coefficients(self, N: int) -> CoefficientSeries:
         if N < 0:
             raise ValueError("N must be >= 0")
@@ -333,6 +339,8 @@ class HalfPlaneLift(OperatorFunction):
 
     def a0(self) -> np.ndarray:
         return (self.basis * self.diag) @ self.basis.conj().T
+
+    coefficient0 = a0
 
     def symbol(self, z: complex) -> complex:
         return -2.0 * self.t * z / (1.0 - self.beta * z)

@@ -193,6 +193,14 @@ def test_bisection_generates_each_rung_once():
         rungs = [N for N in seen if N >= INITIAL_N]
         assert rungs and len(rungs) == len(set(rungs))
 
+    # an eq14 chain past the first rung climbs through it, so a later verdict
+    # finds every rung's tail bound in the store
+    h = mobius_witness(0.5, degree=3)
+    coefficient_bound_eq14(h, max_n=70)
+    h_orders = _count_orders(h)
+    check_bohr(h, 0.3)
+    assert h_orders == []
+
 
 def test_a_checked_function_is_freed_without_the_cycle_collector():
     f = generate_thm2_instance(3, seed=2)

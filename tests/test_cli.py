@@ -1,5 +1,6 @@
 """End-to-end command behavior: exit codes, file bytes, record shapes."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from bohrlab import Status, check_bohr, load_function_file
-from bohrlab.cli import main
+from bohrlab.cli import _config_hash, build_parser, effective_config, main
 from bohrlab.fileio import FunctionFile, canonical_dumps, save_function_file
 from bohrlab.functions import HalfPlaneLift, Polynomial
 
@@ -338,6 +339,38 @@ def test_report_rejects_non_records(cli_files, capsys):
     assert "not a run record" in capsys.readouterr().err
 
 
+
+_ROW = {"instance_id": "a.json", "class": "thm1", "dim": 1, "r": 0.4, "status": "holds",
+        "lhs_extreme": -0.1}
+
+# run records report cannot read: each is (format, record)
+MALFORMED_RECORDS = {
+    "verdicts is a number": ("md", {"verdicts": 5, "summary": {}}),
+    "summary is a list": ("md", {"verdicts": [], "summary": []}),
+    "top level is a list": ("md", ["verdicts", "summary"]),
+    "row is not an object": ("md", {"verdicts": [5], "summary": {}}),
+    "summary count is null": ("md", {"verdicts": [], "summary": {"holds": None}}),
+    "lhs_extreme is null": ("md", {"verdicts": [{**_ROW, "lhs_extreme": None}], "summary": {}}),
+    "r is null": ("csv", {"verdicts": [{**_ROW, "r": None}], "summary": {}}),
+    "dim is null": ("csv", {"verdicts": [{**_ROW, "dim": None}], "summary": {}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+def test_malformed_records_exit_one(case, tmp_path, capsys):
+    fmt, record = MALFORMED_RECORDS[case]
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    assert main(["report", str(path), "--format", fmt]) == EXIT_ERROR
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "md", "json"])
+def test_the_malformed_record_template_is_valid(fmt, tmp_path):
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps({"verdicts": [_ROW], "summary": {"holds": 1}}), encoding="utf-8")
+    assert main(["report", str(path), "--format", fmt]) == EXIT_OK
+
 def test_report_requires_input_files():
     assert main(["report"]) == EXIT_ERROR
 
@@ -386,6 +419,37 @@ def test_bad_invocations_exit_one(cli_files):
     assert main(["verify", cli_files["pin75"], "--r", "1.5"]) == EXIT_ERROR
     assert main(["verify", "/no/such/file.json", "--r", "0.4"]) == EXIT_ERROR
 
+
+# config values of the wrong type for the command that reads them: each is
+# (command, config); the value is rejected where the config file is read
+MALFORMED_CONFIGS = {
+    "dims is a number": ("gen", {"dims": 4}),
+    "dims is empty": ("gen", {"dims": []}),
+    "count is null": ("gen", {"count": None}),
+    "count is Infinity": ("gen", {"count": float("inf")}),
+    "seed is a list": ("gen", {"seed": [1]}),
+    "output_dir is a number": ("gen", {"output_dir": 5}),
+    "radii is a number": ("verify", {"radii": 0.4}),
+    "tol is a list": ("verify", {"tol": [1e-9]}),
+    "k is a list": ("proofcheck", {"k": [1]}),
+    "steps is a number": ("proofcheck", {"steps": 5}),
+    "grid is a number": ("sharpness", {"grid": 5}),
+    "delta is null": ("sharpness", {"grid": "0.75", "delta": None}),
+    "search dims is empty": ("search", {"relax": "drop-commutation", "dims": []}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_malformed_configs_exit_one(case, cli_files, tmp_path, capsys):
+    command, payload = MALFORMED_CONFIGS[case]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(payload), encoding="utf-8")
+    files = [cli_files["pin75"]] if command in ("verify", "proofcheck") else []
+    argv = [command, *files, "--config", str(cfg)]
+    if command in ("gen", "search") and "output_dir" not in payload:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_ERROR
+    assert "error:" in capsys.readouterr().err
 
 _GOOD = {
     "class": "thm1", "kind": "polynomial", "dim": 1, "seed": None, "hypothesis": None,
@@ -454,6 +518,77 @@ def test_the_malformed_file_template_is_valid(tmp_path):
 @pytest.mark.parametrize("good", [_mobius(0.5), _halfplane(0.5)], ids=["mobius", "halfplane"])
 def test_the_structured_file_templates_are_valid(good, tmp_path):
     assert _verify(good, tmp_path) == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes: help text and config hashes
+# ---------------------------------------------------------------------------
+
+# sha256 of `bohrlab [sub] --help` at 80 columns; "" is the top-level help
+HELP_SHA256 = {
+    "": "e2afa12a93901779a1a62f4bd439bbf78b2dc9df748196616da61388b4619a82",
+    "gen": "6d629a4aa669f1d41905c42e7a44ae1c34fa6ef5a51699f828a796bd37953f03",
+    "coeffs": "37dcd5c436f592c3b7f2f2710d5ad084e6d8d1f3b811bb0f8527c42f443357f5",
+    "verify": "377ab0bb15d9be9a3d7bd58efb4824f937666b12de9f414b0024c7a3a8ab92aa",
+    "proofcheck": "6158723e1af154343d6b5dcb1a7a5a1c70053e4eb893e4a81cac1a46688b4b4d",
+    "radius": "c6b7ef6a0d29352e0cb7894e6bfb4f92f2772bb6e124339280f4b185ce782f02",
+    "sharpness": "168ad6f6a11823acea2f437d51b8352eb608e2cf748200ab077c072ae4352802",
+    "search": "0d455a6680e5caf1c4765655b541f9a35f2ec66060832e631163707fe0269062",
+    "report": "e1083a53eb5641a7606d2630353b3df084accc3cb5cb72b96e0d1830663ff212",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays out help text differently in other Python versions")
+@pytest.mark.parametrize("sub", sorted(HELP_SHA256))
+def test_help_text_is_pinned(sub, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([sub, "--help"] if sub else ["--help"]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_SHA256[sub]
+
+
+# sets every config key, the aliases seeds and tolerances included
+FULL_CONFIG = {
+    "class": "thm1", "dims": [2, 3], "count": 2, "seeds": 5, "radii": [0.3, 0.4],
+    "steps": "eq10,eq12", "tolerances": 1e-08, "k": 8, "samples": 16, "budget": 7,
+    "relax": "drop-commutation", "output_dir": "out", "format": "json", "delta": 0.002,
+    "grid": "0.5:0.9:3", "pin_lambda": 0.5, "pin_degree": 2, "state_dim": 3,
+}
+HASH_ARGVS = {
+    "coeffs": ["coeffs", "f.json", "--k", "4"],
+    "verify": ["verify", "f.json", "--theorem", "cor1", "--r", "0.3", "--r", "0.4", "--tol", "1e-10"],
+    "proofcheck": ["proofcheck", "f.json", "--steps", "eq10,eq11", "--k", "6", "--r", "0.5"],
+    "radius": ["radius", "f.json", "--tol", "1e-5"],
+    "search": ["search", "--relax", "drop-normality", "--dim", "2", "--budget", "3",
+               "--seed", "4", "--out", "o"],
+    "report": ["report", "v.json", "--format", "json"],
+}
+# config_hash of each HASH_ARGVS entry; "+config" adds --config with FULL_CONFIG
+CONFIG_HASHES = {
+    "coeffs": "d8820d908ff85cbde4314219d48b25f2d69952fad3433488e060365d2d31ae0d",
+    "coeffs+config": "38f2db9dc81b436a276ce0ece4e46afeb0b6dc3b5f83abd8c479b3034dc406dc",
+    "verify": "fe741ee195b08d314c7897378cf793f37e1def66d11eed45de58863edf0abb4c",
+    "verify+config": "06f06b46da4ea9319d695371924f9ad3a82b0ed795c4f4311f9b427559d39e9b",
+    "proofcheck": "e48966f29c64faf7a4902bf102f779439ec9a8cca3c2ec9cf69523f8abceef64",
+    "proofcheck+config": "69b02da3473b6e46683a21a430217ef42053bf621e04679df606d8f6a2e9dec6",
+    "radius": "19b7ca93322544566fc3239ff3d240d29e53f418f17ed1d76606a9ce34b6dffc",
+    "radius+config": "b47848b5b787c046f897d154d30fe04652f0005476646a14139a12bf9253d82b",
+    "search": "fb7462bf738621230063bfa9f321f922954f5d6836a2f6ae02f8a17eda07b0c0",
+    "search+config": "38bfc7cd880a8702faaf4af8d80e2357f2bff2ab107cec363ba30ce3f4580d66",
+    "report": "f65893ca6d82834437bd202642b25afcf8525f2bf337391ce73daf2c8a5e91c8",
+    "report+config": "5efa5bc6ec0efaf2f58a095bc4b17f8af984942c01249f0e6c034f2c14d6e064",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_HASHES))
+def test_config_hashes_are_pinned(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("BOHRLAB_SEED", raising=False)
+    command, _, with_config = name.partition("+")
+    argv = list(HASH_ARGVS[command])
+    if with_config:
+        argv += ["--config", _write_config(tmp_path / "c.json", FULL_CONFIG)]
+    cfg = effective_config(build_parser().parse_args(argv))
+    assert _config_hash(command, cfg) == CONFIG_HASHES[name]
 
 
 # ---------------------------------------------------------------------------

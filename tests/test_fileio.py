@@ -1,5 +1,6 @@
 """Canonical JSON, round-trips, and the CSV table shapes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -34,7 +35,10 @@ from bohrlab.fileio import (
     verdict_to_json,
 )
 from bohrlab.functions import (
+    HalfPlaneLift,
+    MobiusLift,
     Polynomial,
+    TransferRealization,
     generate_thm1_instance,
     generate_thm2_instance,
     generate_transfer_instance,
@@ -188,3 +192,32 @@ def test_sharpness_csv_booleans_are_lowercase():
     lines = text.splitlines()
     assert lines[0] == "lam,guaranteed,empirical,excess_at_delta,confirmed"
     assert lines[1].endswith(",true")
+
+
+_R = [[0.6, 0.8], [-0.8, 0.6]]
+PINNED_FILES = {
+    "polynomial": FunctionFile(
+        Polynomial([np.diag([0.5, 0.25]), [[0, 0.125j], [0.25, 0]]]), "polynomial"),
+    "mobius": FunctionFile(MobiusLift(_R, [0.5, -0.25 + 0.125j], [1, 1j], [1, 3]), "thm1", 7),
+    "mobius allow_boundary": FunctionFile(
+        MobiusLift(_R, [1.0, 0.5], [1, -1], [2, 1], allow_boundary=True), "thm1", 3),
+    "transfer": FunctionFile(
+        TransferRealization([[0, 0, 1], [0.6, 0.8, 0], [-0.8, 0.6, 0]], 1), "transfer", 6),
+    "halfplane": FunctionFile(
+        HalfPlaneLift(_R, [0.2, 0.6], 0.25, 0.3 + 0.1j), "thm2", 5, {"passed": True}),
+}
+# sha256 of serialize_function_file for each PINNED_FILES entry
+FILE_SHA256 = {
+    "polynomial": "d765704f3cd7d2da4e454bfb0f9e840089b893e195ce8a116cd2e55cf4866d77",
+    "mobius": "586becb2ed2bfb27618c8eb54c18926ea5ae9464660de44f187afac075e1a02c",
+    "mobius allow_boundary": "60bc43b75554686442ca353e64c8d2cfee912e4428d7195c2134e29a02033307",
+    "transfer": "b0806d1880133aab1055bf5c433a925d985847ccdf43273273396c17f70b3706",
+    "halfplane": "4cf3847a197a4af62482f23d208890029a29cb697305c880aa1793a314894e38",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILE_SHA256))
+def test_serialized_function_files_are_pinned(name):
+    text = serialize_function_file(PINNED_FILES[name])
+    assert hashlib.sha256(text.encode()).hexdigest() == FILE_SHA256[name]
+    assert serialize_function_file(parse_function_file(text)) == text

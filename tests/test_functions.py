@@ -280,6 +280,24 @@ def test_real_part_bound_fails_outside_the_admissible_region():
 # the coefficient-zeroing transform
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("f", [
+    _scaled_polynomial(3, 40, seed=2),
+    generate_thm1_instance(3, seed=2),
+    generate_transfer_instance(3, 2, seed=2),
+    generate_thm2_instance(3, seed=2),
+], ids=["polynomial", "mobius", "transfer", "halfplane"])
+def test_coefficient0_is_the_first_series_coefficient(f):
+    expected = f.coefficients(0).coeffs[0]
+    calls = []
+    generate = f.coefficients
+    f.coefficients = lambda N: calls.append(N) or generate(N)
+    A0 = f.coefficient0()
+    assert A0.dtype == expected.dtype and A0.tobytes() == expected.tobytes()
+    if f.kind != "mobius":
+        # the other three hold A_0 and build no series to read it
+        assert calls == []
+
+
 def test_schur_transform_vanishes_at_zero_and_contracts():
     for i in range(10):
         f = generate_thm1_instance(1 + i % 4, seed=50 + i)
