@@ -339,7 +339,6 @@ def test_report_rejects_non_records(cli_files, capsys):
     assert "not a run record" in capsys.readouterr().err
 
 
-
 _ROW = {"instance_id": "a.json", "class": "thm1", "dim": 1, "r": 0.4, "status": "holds",
         "lhs_extreme": -0.1}
 
@@ -370,6 +369,7 @@ def test_the_malformed_record_template_is_valid(fmt, tmp_path):
     path = tmp_path / "rec.json"
     path.write_text(json.dumps({"verdicts": [_ROW], "summary": {"holds": 1}}), encoding="utf-8")
     assert main(["report", str(path), "--format", fmt]) == EXIT_OK
+
 
 def test_report_requires_input_files():
     assert main(["report"]) == EXIT_ERROR
@@ -420,8 +420,8 @@ def test_bad_invocations_exit_one(cli_files):
     assert main(["verify", "/no/such/file.json", "--r", "0.4"]) == EXIT_ERROR
 
 
-# config values of the wrong type for the command that reads them: each is
-# (command, config); the value is rejected where the config file is read
+# config values a command cannot take: each is (command, config); the value
+# is rejected where the config file is read
 MALFORMED_CONFIGS = {
     "dims is a number": ("gen", {"dims": 4}),
     "dims is empty": ("gen", {"dims": []}),
@@ -450,6 +450,7 @@ def test_malformed_configs_exit_one(case, cli_files, tmp_path, capsys):
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == EXIT_ERROR
     assert "error:" in capsys.readouterr().err
+
 
 _GOOD = {
     "class": "thm1", "kind": "polynomial", "dim": 1, "seed": None, "hypothesis": None,
