@@ -41,6 +41,7 @@ from .linalg import (
     random_unitary,
 )
 from .functions import (
+    HYPOTHESIS_TOL,
     CoefficientSeries,
     HalfPlaneLift,
     MobiusLift,
@@ -239,14 +240,21 @@ def require_hypotheses(f: OperatorFunction, family: str) -> None:
 
     Families are the hypothesis classes of hypothesis_check ("thm1",
     "cor2", "thm2") plus "norm", which asks only for a norm bound. Only
-    "thm2" admits a HalfPlaneLift, which certifies no norm bound; a
-    MobiusLift meets "thm1" by construction; every other pairing except
-    "norm" runs hypothesis_check.
+    "thm2" admits a HalfPlaneLift, which certifies no norm bound, and
+    decides it from its parameters; a MobiusLift meets "thm1" by
+    construction; every other pairing except "norm" runs hypothesis_check.
     """
-    if family != "thm2" and isinstance(f, HalfPlaneLift):
-        raise StepClassMismatch(
-            f"{family} needs a norm-bounded instance; the real-part class certifies no norm bound"
-        )
+    if isinstance(f, HalfPlaneLift):
+        if family != "thm2":
+            raise StepClassMismatch(
+                f"{family} needs a norm-bounded instance; the real-part class certifies no norm bound"
+            )
+        # every other thm2 hypothesis holds by construction; the largest
+        # eigenvalue of Re f - I over the disk is max_i (1 - d_i)(sup Re s - 1)
+        sup_re_s = 2.0 * f.t * (1.0 - f.beta.real) / (1.0 - abs(f.beta) ** 2)
+        if np.max((1.0 - f.diag) * (sup_re_s - 1.0)) > HYPOTHESIS_TOL:
+            raise HypothesisViolated("thm2 hypotheses fail: grid_re_excess")
+        return
     if family == "norm" or (family == "thm1" and isinstance(f, MobiusLift)):
         return
     report = hypothesis_check(f, family)

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .checks import (
     DEFAULT_BOHR_TOL,
+    MAX_N,
     STEPS,
     BohrVerdict,
     ProofStep,
@@ -169,6 +170,9 @@ def effective_config(args) -> dict:
     for key in ("count", "budget", "samples"):
         if cfg[key] < 1:
             raise ValueError(f"{key} must be >= 1")
+    for key in ("k", "samples"):
+        if cfg[key] is not None and int(cfg[key]) > MAX_N:
+            raise ValueError(f"{key} must be <= {MAX_N}")
     if not cfg["dims"] or min(cfg["dims"]) < 1:
         raise ValueError("dims must be a non-empty list of integers >= 1")
     if cfg["radii"] is not None and any(not 0.0 <= r < 1.0 for r in cfg["radii"]):

@@ -310,7 +310,7 @@ class HalfPlaneLift(OperatorFunction):
     A_0 = Q diag(d) Q* is PSD with ||A_0|| < 1 and every value is normal.
     sup_disk Re s = 2t(1 - Re beta)/(1 - |beta|^2), so Re f(z) <= I holds
     exactly when 2t(1 - Re beta) <= 1 - |beta|^2; the generator samples
-    inside that region, and hypothesis_check gates anything hand-built.
+    inside that region, and the thm2 gate decides it from the parameters.
     """
 
     kind = "halfplane"
@@ -466,11 +466,7 @@ def generate_thm1_instance(
     lam = radii * np.exp(2j * np.pi * rng.uniform(size=dim))
     deg = rng.integers(degrees[0], degrees[1] + 1, size=dim)
     eps = np.exp(2j * np.pi * rng.uniform(size=dim))
-    f = MobiusLift(Q, lam, eps, deg, allow_boundary=allow_boundary)
-    report = hypothesis_check(f, "thm1")
-    if not report.passed:
-        raise HypothesisViolated(f"generator produced a bad instance: {report}")
-    return f
+    return MobiusLift(Q, lam, eps, deg, allow_boundary=allow_boundary)
 
 
 def mobius_witness(lam: float, degree: int = 1) -> MobiusLift:
@@ -490,11 +486,7 @@ def generate_thm2_instance(dim: int, seed: int = 0) -> HalfPlaneLift:
     # sup Re s over the disk is 2t(1 - Re beta)/(1 - |beta|^2); keep it <= 1
     t_cap = min(1.0, (1.0 - abs(beta) ** 2) / (2.0 * (1.0 - beta.real)))
     t = float(rng.uniform(0.0, t_cap))
-    f = HalfPlaneLift(Q, d, t, beta)
-    report = hypothesis_check(f, "thm2")
-    if not report.passed:
-        raise HypothesisViolated(f"generator produced a bad instance: {report}")
-    return f
+    return HalfPlaneLift(Q, d, t, beta)
 
 
 def generate_transfer_instance(dim: int, state_dim: int, seed: int = 0) -> TransferRealization:
@@ -531,6 +523,19 @@ def certified_sup(f: Polynomial) -> tuple[float, complex]:
 
 HYPOTHESIS_CLASSES = ("thm1", "thm2", "cor2")
 
+# each limit field of a report, in the order failures() lists them, with the
+# test under which its value fails at threshold th
+_LIMITS = (
+    ("a0_normal_defect", lambda v, th: v > th),
+    ("max_commutator", lambda v, th: v > th),
+    ("grid_norm_max", lambda v, th: v > 1.0 + th),
+    ("grid_re_excess", lambda v, th: v > th),
+    ("grid_normality_defect", lambda v, th: v > th),
+    ("a0_scalar_defect", lambda v, th: v > th),
+    ("a0_min_eigenvalue", lambda v, th: v < -th),
+    ("a0_norm", lambda v, th: v >= 1.0),
+)
+
 
 @dataclass(frozen=True)
 class HypothesisReport:
@@ -555,25 +560,10 @@ class HypothesisReport:
 
     def failures(self) -> list[str]:
         """Names of the hypothesis fields that fall outside tolerance."""
-        th = self.threshold
-        out = []
-        if self.a0_normal_defect > th:
-            out.append("a0_normal_defect")
-        if self.max_commutator > th:
-            out.append("max_commutator")
-        if self.grid_norm_max is not None and self.grid_norm_max > 1.0 + th:
-            out.append("grid_norm_max")
-        if self.grid_re_excess is not None and self.grid_re_excess > th:
-            out.append("grid_re_excess")
-        if self.grid_normality_defect is not None and self.grid_normality_defect > th:
-            out.append("grid_normality_defect")
-        if self.a0_scalar_defect is not None and self.a0_scalar_defect > th:
-            out.append("a0_scalar_defect")
-        if self.a0_min_eigenvalue is not None and self.a0_min_eigenvalue < -th:
-            out.append("a0_min_eigenvalue")
-        if self.a0_norm is not None and self.a0_norm >= 1.0:
-            out.append("a0_norm")
-        return out
+        return [
+            name for name, fails in _LIMITS
+            if (value := getattr(self, name)) is not None and fails(value, self.threshold)
+        ]
 
     @property
     def passed(self) -> bool:
@@ -584,14 +574,7 @@ class HypothesisReport:
             "class": self.klass,
             "dim": self.dim,
             "threshold": self.threshold,
-            "a0_normal_defect": self.a0_normal_defect,
-            "max_commutator": self.max_commutator,
-            "grid_norm_max": self.grid_norm_max,
-            "grid_re_excess": self.grid_re_excess,
-            "grid_normality_defect": self.grid_normality_defect,
-            "a0_scalar_defect": self.a0_scalar_defect,
-            "a0_min_eigenvalue": self.a0_min_eigenvalue,
-            "a0_norm": self.a0_norm,
+            **{name: getattr(self, name) for name, _ in _LIMITS},
             "passed": self.passed,
         }
 
@@ -601,8 +584,8 @@ def _normal_defect(A: np.ndarray) -> float:
     return frobenius(Ah @ A - A @ Ah) / (1.0 + frobenius(A) ** 2)
 
 
-def hypothesis_grid(radius: float = HYPOTHESIS_RADIUS, count: int = HYPOTHESIS_GRID) -> np.ndarray:
-    return radius * np.exp(2j * np.pi * np.arange(count) / count)
+def hypothesis_grid() -> np.ndarray:
+    return HYPOTHESIS_RADIUS * np.exp(2j * np.pi * np.arange(HYPOTHESIS_GRID) / HYPOTHESIS_GRID)
 
 
 def hypothesis_check(f: OperatorFunction, klass: str) -> HypothesisReport:
@@ -611,50 +594,30 @@ def hypothesis_check(f: OperatorFunction, klass: str) -> HypothesisReport:
         raise ValueError(f"unknown hypothesis class {klass!r}")
     series = f.coefficients(COMMUTATION_ORDER)
     A0 = series.coeffs[0]
-    normal_defect = _normal_defect(A0)
-    max_comm = max(commutator_norm(A0, A) for A in series.coeffs[1:])
-    grid = hypothesis_grid()
-    values = [f.evaluate(z) for z in grid]
-
-    if klass == "thm1":
-        return HypothesisReport(
-            klass=klass,
-            dim=f.dim,
-            threshold=HYPOTHESIS_TOL,
-            a0_normal_defect=normal_defect,
-            max_commutator=max_comm,
-            grid_norm_max=max(operator_norm(v) for v in values),
+    values = [f.evaluate(z) for z in hypothesis_grid()]
+    fields = {}
+    if klass == "thm2":
+        eye = identity(f.dim)
+        fields["grid_re_excess"] = max(
+            float(hermitian_eigen(hermitian_part(v) - eye).eigenvalues[-1]) for v in values
         )
-    if klass == "cor2":
-        a0_scalar = np.trace(A0) / f.dim
-        return HypothesisReport(
-            klass=klass,
-            dim=f.dim,
-            threshold=HYPOTHESIS_TOL,
-            a0_normal_defect=normal_defect,
-            max_commutator=max_comm,
-            grid_norm_max=max(operator_norm(v) for v in values),
-            a0_scalar_defect=operator_norm(A0 - a0_scalar * identity(f.dim)),
-        )
-    # thm2
-    eye = identity(f.dim)
-    re_excess = max(
-        float(hermitian_eigen(hermitian_part(v) - eye).eigenvalues[-1]) for v in values
-    )
-    value_normality = max(_normal_defect(v) for v in values)
-    # A_0 >= 0 needs A_0 Hermitian; the skew part eats into the reported
-    # smallest eigenvalue so a non-Hermitian A_0 cannot slip through.
-    herm0 = hermitian_part(A0)
-    a0_eigs = hermitian_eigen(herm0).eigenvalues
-    skew = operator_norm(A0 - herm0)
+        fields["grid_normality_defect"] = max(_normal_defect(v) for v in values)
+        # A_0 >= 0 needs A_0 Hermitian; the skew part eats into the reported
+        # smallest eigenvalue so a non-Hermitian A_0 cannot slip through.
+        herm0 = hermitian_part(A0)
+        a0_eigs = hermitian_eigen(herm0).eigenvalues
+        fields["a0_min_eigenvalue"] = float(a0_eigs[0]) - operator_norm(A0 - herm0)
+        fields["a0_norm"] = operator_norm(A0)
+    else:
+        fields["grid_norm_max"] = max(operator_norm(v) for v in values)
+        if klass == "cor2":
+            a0_scalar = np.trace(A0) / f.dim
+            fields["a0_scalar_defect"] = operator_norm(A0 - a0_scalar * identity(f.dim))
     return HypothesisReport(
         klass=klass,
         dim=f.dim,
         threshold=HYPOTHESIS_TOL,
-        a0_normal_defect=normal_defect,
-        max_commutator=max_comm,
-        grid_re_excess=re_excess,
-        grid_normality_defect=value_normality,
-        a0_min_eigenvalue=float(a0_eigs[0]) - skew,
-        a0_norm=operator_norm(A0),
+        a0_normal_defect=_normal_defect(A0),
+        max_commutator=max(commutator_norm(A0, A) for A in series.coeffs[1:]),
+        **fields,
     )

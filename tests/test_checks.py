@@ -364,11 +364,15 @@ def test_eq2_matches_a_direct_sum_of_gram_terms():
 def test_halfplane_steps_check_the_real_part_bound():
     # 2t(1 - Re beta) = 0.2 > 1 - |beta|^2 = 0.19: Re f exceeds I near z = 1
     bad = HalfPlaneLift(np.eye(1), [0.5], 1.0, 0.9)
-    for token in ("eq1", "eq2", "thm2final"):
-        with pytest.raises(HypothesisViolated):
-            proof_step_validate(bad, token, r=0.3)
-    with pytest.raises(HypothesisViolated):
-        check_thm2_bounds(bad, 0.3)
+    # sup Re f - I = 2.5e-7 here, reached so close to z = 1 that no sampled
+    # point sees it; the gate reads it from the parameters
+    hair = HalfPlaneLift(np.eye(1), [0.5], 1.0, 1.0 - 1e-6)
+    for f in (bad, hair):
+        for token in ("eq1", "eq2", "thm2final"):
+            with pytest.raises(HypothesisViolated, match="grid_re_excess"):
+                proof_step_validate(f, token, r=0.3)
+        with pytest.raises(HypothesisViolated, match="grid_re_excess"):
+            check_thm2_bounds(f, 0.3)
     # a class mismatch is a hypothesis failure too
     with pytest.raises(HypothesisViolated):
         proof_step_validate(bad, "eq5")

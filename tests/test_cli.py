@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from bohrlab import Status, check_bohr, load_function_file
+from bohrlab.checks import MAX_N
 from bohrlab.cli import _config_hash, build_parser, effective_config, main
 from bohrlab.fileio import FunctionFile, canonical_dumps, save_function_file
 from bohrlab.functions import HalfPlaneLift, Polynomial
@@ -176,12 +177,15 @@ def test_proofcheck_rejects_cross_class_steps(cli_files, capsys):
 
 
 def test_halfplane_outside_the_real_part_bound_is_refused(tmp_path, capsys):
-    # 2t(1 - Re beta) = 0.2 > 1 - |beta|^2 = 0.19, so Re f exceeds I
-    path = tmp_path / "bad_thm2.json"
-    save_function_file(path, FunctionFile(HalfPlaneLift(np.eye(1), [0.5], 1.0, 0.9), "thm2"))
-    assert main(["proofcheck", str(path)]) == EXIT_ERROR
-    assert main(["verify", str(path), "--theorem", "thm2"]) == EXIT_ERROR
-    assert "thm2 hypotheses fail" in capsys.readouterr().err
+    # 2t(1 - Re beta) = 0.2 > 1 - |beta|^2 = 0.19, so Re f exceeds I; at
+    # beta = 1 - 1e-6 it exceeds I by 2.5e-7, 25 times the hypothesis tolerance
+    for i, beta in enumerate((0.9, 1.0 - 1e-6)):
+        path = tmp_path / f"bad_thm2_{i}.json"
+        save_function_file(path, FunctionFile(HalfPlaneLift(np.eye(1), [0.5], 1.0, beta), "thm2"))
+        assert main(["proofcheck", str(path)]) == EXIT_ERROR
+        assert main(["proofcheck", str(path), "--steps", "eq2"]) == EXIT_ERROR
+        assert main(["verify", str(path), "--theorem", "thm2"]) == EXIT_ERROR
+        assert "thm2 hypotheses fail: grid_re_excess" in capsys.readouterr().err
 
 
 def test_proofcheck_skips_inapplicable_eq11_radii(cli_files, tmp_path):
@@ -436,6 +440,9 @@ MALFORMED_CONFIGS = {
     "grid is a number": ("sharpness", {"grid": 5}),
     "delta is null": ("sharpness", {"grid": "0.75", "delta": None}),
     "search dims is empty": ("search", {"relax": "drop-commutation", "dims": []}),
+    "coeffs k above MAX_N": ("coeffs", {"k": MAX_N + 1}),
+    "proofcheck k above MAX_N": ("proofcheck", {"k": MAX_N + 1}),
+    "samples above MAX_N": ("proofcheck", {"samples": MAX_N + 1}),
 }
 
 
@@ -444,7 +451,7 @@ def test_malformed_configs_exit_one(case, cli_files, tmp_path, capsys):
     command, payload = MALFORMED_CONFIGS[case]
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(payload), encoding="utf-8")
-    files = [cli_files["pin75"]] if command in ("verify", "proofcheck") else []
+    files = [cli_files["pin75"]] if command in ("verify", "proofcheck", "coeffs") else []
     argv = [command, *files, "--config", str(cfg)]
     if command in ("gen", "search") and "output_dir" not in payload:
         argv += ["--out", str(tmp_path / "out")]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bohrlab.checks import majorant
+from bohrlab.checks import majorant, require_hypotheses
 from bohrlab.errors import (
     CommutationViolated,
     DimensionMismatch,
@@ -12,9 +12,11 @@ from bohrlab.errors import (
     OutsideDomain,
 )
 from bohrlab.functions import (
+    HYPOTHESIS_TOL,
     CoefficientSeries,
     FunctionSamples,
     HalfPlaneLift,
+    HypothesisReport,
     MobiusLift,
     Polynomial,
     TransferRealization,
@@ -381,9 +383,18 @@ def test_generators_are_deterministic_in_seed():
 
 
 def test_generated_instances_pass_their_hypothesis_checks():
-    for i in range(12):
-        assert hypothesis_check(generate_thm1_instance(1 + i % 8, seed=i), "thm1").passed
-        assert hypothesis_check(generate_thm2_instance(1 + i % 8, seed=i), "thm2").passed
+    # the generators do not check their own output: every draw must lie in its class
+    for i in range(48):
+        dim = 1 + i % 8
+        for f in (
+            generate_thm1_instance(dim, seed=i),
+            generate_thm1_instance(dim, degrees=(1, 10), seed=i),
+            generate_thm1_instance(dim, degrees=(1, 10), seed=i, allow_boundary=True),
+        ):
+            assert hypothesis_check(f, "thm1").passed
+        g = generate_thm2_instance(dim, seed=i)
+        assert hypothesis_check(g, "thm2").passed
+        require_hypotheses(g, "thm2")
 
 
 def test_hypothesis_grid_shape():
@@ -397,6 +408,59 @@ def test_cor2_hypothesis_needs_scalar_initial_coefficient():
     report = hypothesis_check(f, "cor2")
     assert "a0_scalar_defect" in report.failures()
     assert hypothesis_check(mobius_witness(0.5), "cor2").passed
+
+
+# each limit field of a report: a value at its bound, which passes, and the
+# next float past it, which fails
+TH = HYPOTHESIS_TOL
+REPORT_LIMITS = {
+    "a0_normal_defect": (TH, np.nextafter(TH, 1.0)),
+    "max_commutator": (TH, np.nextafter(TH, 1.0)),
+    "grid_norm_max": (1.0 + TH, np.nextafter(1.0 + TH, 2.0)),
+    "grid_re_excess": (TH, np.nextafter(TH, 1.0)),
+    "grid_normality_defect": (TH, np.nextafter(TH, 1.0)),
+    "a0_scalar_defect": (TH, np.nextafter(TH, 1.0)),
+    "a0_min_eigenvalue": (-TH, np.nextafter(-TH, -1.0)),
+    "a0_norm": (np.nextafter(1.0, 0.0), 1.0),
+}
+# the report fields each class leaves unset
+REPORT_UNSET = {
+    "thm1": {"grid_re_excess", "grid_normality_defect", "a0_scalar_defect",
+             "a0_min_eigenvalue", "a0_norm"},
+    "cor2": {"grid_re_excess", "grid_normality_defect", "a0_min_eigenvalue", "a0_norm"},
+    "thm2": {"grid_norm_max", "a0_scalar_defect"},
+}
+
+
+def _report(**limits) -> HypothesisReport:
+    fields = {"a0_normal_defect": 0.0, "max_commutator": 0.0, **limits}
+    return HypothesisReport(klass="thm1", dim=1, threshold=TH, **fields)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_LIMITS))
+def test_each_report_limit_passes_at_its_bound_and_fails_past_it(name):
+    at, past = REPORT_LIMITS[name]
+    assert _report(**{name: at}).passed
+    failed = _report(**{name: past})
+    assert failed.failures() == [name] and not failed.passed
+    assert failed.to_dict()[name] == past and failed.to_dict()["passed"] is False
+
+
+def test_report_failures_keep_their_order():
+    # require_hypotheses joins this list into its error message
+    report = _report(**{name: past for name, (_, past) in REPORT_LIMITS.items()})
+    assert report.failures() == list(REPORT_LIMITS)
+
+
+@pytest.mark.parametrize("klass", sorted(REPORT_UNSET))
+def test_report_dict_keys_and_unset_fields_per_class(klass):
+    for f in (mobius_witness(0.5), generate_thm2_instance(3, seed=1)):
+        report = hypothesis_check(f, klass)
+        d = report.to_dict()
+        assert list(d) == ["class", "dim", "threshold", *REPORT_LIMITS, "passed"]
+        assert {k for k, v in d.items() if v is None} == REPORT_UNSET[klass]
+        assert (d["class"], d["dim"], d["threshold"]) == (klass, f.dim, TH)
+        assert d["passed"] is report.passed
 
 
 def test_hypothesis_check_rejects_unknown_class():
