@@ -13,7 +13,6 @@ tokens; each one's meaning is spelled out in `proof_step_validate`.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,6 +23,7 @@ from .errors import (
     HypothesisViolated,
     OutsideDomain,
     StepClassMismatch,
+    StepNotApplicable,
 )
 from .linalg import (
     LoewnerVerdict,
@@ -150,9 +150,9 @@ class _TermStore:
     """The |A_n| of one function's majorant series, the one place checks
     computes them.
 
-    It keeps |A_n| for n = 0, 1, ... as stacks in n order, and the
-    tail_norm_bound of f.coefficients(N) for each rung N visited. Growing
-    to a larger N converts only the coefficients not yet converted.
+    It keeps |A_n| for n = 0, 1, ... as stacks in n order, and the tail
+    bound f.tail_bound(N) of each rung N visited. Growing to a larger N
+    converts only the coefficients not yet converted.
 
     _term_store attaches a store to its function. The store keeps no
     reference back to it, so it is freed with the function without the
@@ -166,11 +166,7 @@ class _TermStore:
 
     def grow(self, f: OperatorFunction, N: int):
         """(blocks, c) for a rung N: |A_n| stacks covering at least n <= N,
-        and the tail_norm_bound c of f.coefficients(N).
-
-        Callers climb the rungs in order, so a store that covers N has
-        visited rung N and holds its tail bound.
-        """
+        and the tail bound c = f.tail_bound(N)."""
         blocks = self.abs
         have = sum(map(len, blocks))
         if have <= N:
@@ -178,9 +174,10 @@ class _TermStore:
             self.tails[N] = series.tail_norm_bound
             pending = list(series.coeffs[have:])
             del series
-            if pending:
-                # a new list: a climb in another thread keeps a whole stack
-                blocks = self.abs = blocks + _convert(pending)
+            # a new list: a climb in another thread keeps a whole stack
+            blocks = self.abs = blocks + _convert(pending)
+        elif N not in self.tails:
+            self.tails[N] = f.tail_bound(N)
         return blocks, self.tails[N]
 
     def ladder(self, f: OperatorFunction):
@@ -204,14 +201,11 @@ def _term_store(f: OperatorFunction) -> _TermStore:
 
 
 def _abs_terms(f: OperatorFunction, n: int):
-    """|A_0|, ..., |A_n| of f, read from its term store, climbing its rungs
-    up to the one covering n."""
-    store = _term_store(f)
+    """|A_0|, ..., |A_n| of f, read from its term store at the rung covering n."""
     N = INITIAL_N
-    blocks, _ = store.grow(f, N)
     while N < n:
         N *= 2
-        blocks, _ = store.grow(f, N)
+    blocks, _ = _term_store(f).grow(f, N)
     return _terms(blocks, 0, n)
 
 
@@ -241,8 +235,9 @@ def require_hypotheses(f: OperatorFunction, family: str) -> None:
     Families are the hypothesis classes of hypothesis_check ("thm1",
     "cor2", "thm2") plus "norm", which asks only for a norm bound. Only
     "thm2" admits a HalfPlaneLift, which certifies no norm bound, and
-    decides it from its parameters; a MobiusLift meets "thm1" by
-    construction; every other pairing except "norm" runs hypothesis_check.
+    decides it from its parameters. A MobiusLift meets "thm1" by
+    construction, and "cor2" when all lambda_i are equal (its A_0 is then
+    scalar). Every other pairing except "norm" runs hypothesis_check.
     """
     if isinstance(f, HalfPlaneLift):
         if family != "thm2":
@@ -255,7 +250,11 @@ def require_hypotheses(f: OperatorFunction, family: str) -> None:
         if np.max((1.0 - f.diag) * (sup_re_s - 1.0)) > HYPOTHESIS_TOL:
             raise HypothesisViolated("thm2 hypotheses fail: grid_re_excess")
         return
-    if family == "norm" or (family == "thm1" and isinstance(f, MobiusLift)):
+    if isinstance(f, MobiusLift) and family in ("thm1", "cor2"):
+        if family == "cor2" and np.max(np.abs(f.lambdas - f.lambdas.mean())) > HYPOTHESIS_TOL:
+            raise HypothesisViolated("cor2 hypotheses fail: a0_scalar_defect")
+        return
+    if family == "norm":
         return
     report = hypothesis_check(f, family)
     if not report.passed:
@@ -338,7 +337,7 @@ def _radius_from_abs(abs_a0: np.ndarray) -> AdmissibleRadius:
 def thm1_admissible_radius(A0) -> AdmissibleRadius:
     """Guaranteed Bohr radius for a normal contraction coefficient A_0."""
     A0 = as_matrix(A0)
-    if not is_normal(A0, tol=1e-10):
+    if not is_normal(A0):
         raise HypothesisViolated("A_0 must be normal")
     if operator_norm(A0) >= 1.0:
         raise HypothesisViolated("||A_0|| < 1 is required")
@@ -407,10 +406,6 @@ class ProofStep(Enum):
     THM2_FINAL = "thm2final"
 
 
-def _radius_below_a0(absA0: np.ndarray, r: float) -> bool:
-    return loewner_leq(r * identity(absA0.shape[0]), absA0).holds
-
-
 @dataclass(frozen=True)
 class StepSpec:
     """One row of the proof-step table.
@@ -419,15 +414,13 @@ class StepSpec:
     require_hypotheses). ``param`` is the argument of proof_step_validate
     the step reads: "z" (z_samples), "k", "r", or None. ``classes`` are
     the file classes whose instances the step may audit, ``defaults`` those
-    whose default audit runs it. ``applies(|A_0|, r)``, when set, is a
-    further condition without which the step says nothing.
+    whose default audit runs it.
     """
 
     family: str
     param: str | None
     classes: tuple[str, ...]
     defaults: tuple[str, ...] = ()
-    applies: Callable[[np.ndarray, float], bool] | None = None
 
 
 _THM1_FILES = ("thm1", "polynomial")
@@ -438,7 +431,7 @@ STEPS = {
     ProofStep.EQ5: StepSpec("thm1", "z", _THM1_FILES, ("thm1",)),
     ProofStep.EQ9: StepSpec("thm1", "k", _THM1_FILES, ("thm1",)),
     ProofStep.EQ10: StepSpec("thm1", "k", _THM1_FILES, ("thm1",)),
-    ProofStep.EQ11: StepSpec("thm1", "r", _THM1_FILES, ("thm1",), _radius_below_a0),
+    ProofStep.EQ11: StepSpec("thm1", "r", _THM1_FILES, ("thm1",)),
     ProofStep.EQ12: StepSpec("thm1", "r", _THM1_FILES, ("thm1",)),
     ProofStep.EQ14: StepSpec("thm1", None, _THM1_FILES, ("thm1",)),
     ProofStep.EQ1: StepSpec("thm2", "z", _THM2_FILES, ("thm2",)),
@@ -556,7 +549,7 @@ def proof_step_validate(
       eq9       Squared coefficients dominated by the A_0 defect chain (k-sum).
       eq10      Mixed |A_n||A_0|^n sum against the same chain (k-sum).
       eq11      Full majorant tail against r(I-|A0|^2)(I-r|A0|)^(-1),
-                valid only when rI <= |A0|.
+                valid only when rI <= |A0| (else StepNotApplicable).
       eq12      Full majorant tail against (I-|A0|^2)^(1/2) r/sqrt(1-r^2).
       eq14      |A_1| <= I-|A0|^2 <= 2(I-|A0|) chain.
       eq1       Gram defect for the real-part-bounded class.
@@ -565,7 +558,7 @@ def proof_step_validate(
       bb2remark Full majorant against (1/sqrt(1-r^2)) I.
 
     The function must meet the hypotheses of the step's family (see STEPS
-    and require_hypotheses).
+    and require_hypotheses); that gate runs before any applicability test.
     """
     step = ProofStep(step)
     require_hypotheses(f, STEPS[step].family)
@@ -620,8 +613,8 @@ def _validate_step(
         first = 1
         if step is ProofStep.EQ11:
             absA0 = next(_abs_terms(f, 0))
-            if not spec.applies(absA0, r):
-                raise HypothesisViolated("rI <= |A_0| fails; step not applicable")
+            if not loewner_leq(r * eye, absA0).holds:
+                raise StepNotApplicable("rI <= |A_0| fails; step not applicable")
             gap2 = hermitian_part(eye - absA0 @ absA0)
             rhs = hermitian_part(r * gap2 @ np.linalg.inv(eye - r * absA0))
         elif step is ProofStep.EQ12:
@@ -865,13 +858,14 @@ def counterexample_search(
     relaxation = Relaxation(relaxation)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    children = np.random.SeedSequence(seed).spawn(budget)
     skipped = 0
     for trial in range(budget):
+        # child `trial` of SeedSequence(seed).spawn(budget), built alone
+        child = np.random.SeedSequence(seed, spawn_key=(trial,))
         if relaxation is Relaxation.WEAK_NORM_BOUND:
-            f = generate_thm1_instance(dim, degrees=(1, 3), seed=children[trial], allow_boundary=True)
+            f = generate_thm1_instance(dim, degrees=(1, 3), seed=child, allow_boundary=True)
         else:
-            rng = np.random.default_rng(children[trial])
+            rng = np.random.default_rng(child)
             if relaxation is Relaxation.DROP_COMMUTATION:
                 f = _drop_commutation_instance(dim, rng)
             else:

@@ -27,6 +27,7 @@ from .checks import (
     BohrVerdict,
     ProofStep,
     Status,
+    Thm2Bounds,
     build_radius_report,
     check_bb2_norm_bound,
     check_bohr,
@@ -39,7 +40,7 @@ from .checks import (
     sharpness_scan,
     thm1_admissible_radius,
 )
-from .errors import BohrlabError, HypothesisViolated, StepClassMismatch
+from .errors import BohrlabError, HypothesisViolated, StepClassMismatch, StepNotApplicable
 from .fileio import (
     KIND_TO_CLASS,
     FunctionFile,
@@ -63,15 +64,12 @@ from .functions import (
     hypothesis_check,
     mobius_witness,
 )
-from .linalg import abs_operator
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATED = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_WITNESS = 4
-
-THEOREMS = ("thm1", "cor1", "cor2", "thm2", "bb2remark")
 
 
 # ---------------------------------------------------------------------------
@@ -301,50 +299,51 @@ def cmd_coeffs(args, argv) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _default_radii(theorem: str, ff: FunctionFile) -> list[float]:
-    if theorem == "thm1":
-        try:
-            guaranteed = thm1_admissible_radius(ff.function.coefficient0())
-        except BohrlabError as exc:
-            raise HypothesisViolated(
-                f"no default radius for this instance ({exc}); pass --r"
-            ) from exc
-        return [max(0.0, guaranteed.value - 1e-6)]
-    if theorem in ("cor1", "thm2"):
-        return [1.0 / 3.0]
-    return [0.5]
+# theorem -> (its check, by name, looked up at call time as main looks up
+# cmd_*; the family verify gates a file of class thm1 on, None where the check
+# gates itself; the default radius, None for just below the guaranteed one)
+THEOREMS = {
+    "thm1": ("check_bohr", "thm1", None),
+    "cor1": ("check_bohr", "thm1", 1.0 / 3.0),
+    "cor2": ("check_cor2", None, 0.5),
+    "thm2": ("check_thm2_bounds", None, 1.0 / 3.0),
+    "bb2remark": ("check_bb2_norm_bound", "norm", 0.5),
+}
+
+
+def _guaranteed_radius(f) -> float:
+    try:
+        guaranteed = thm1_admissible_radius(f.coefficient0())
+    except BohrlabError as exc:
+        raise HypothesisViolated(f"no default radius for this instance ({exc}); pass --r") from exc
+    return max(0.0, guaranteed.value - 1e-6)
+
+
+def _verdict_fields(result) -> dict:
+    """A row's verdict fields; a thm2 row lists its three parts under their worst status."""
+    if not isinstance(result, Thm2Bounds):
+        return verdict_to_json(result)
+    parts = [verdict_to_json(result.bohr), proof_report_to_json(result.eq2),
+             proof_report_to_json(result.final)]
+    worst = max((p["status"] for p in parts), key=_SEVERITY.index)
+    return {**parts[0], "status": worst, "parts": parts}
 
 
 def cmd_verify(args, argv) -> int:
     cfg = effective_config(args)
-    theorem = args.theorem
+    check_name, family, radius = THEOREMS[args.theorem]
+    check = globals()[check_name]
     tol = float(cfg["tol"]) if cfg["tol"] is not None else DEFAULT_BOHR_TOL
     entries = []
     for name, ff in _load_files(args.files):
-        if theorem in ("thm1", "cor1", "bb2remark"):
-            # check_bohr itself needs only a norm bound; a file of class thm1 must meet thm1
-            family = "thm1" if theorem != "bb2remark" and ff.klass == "thm1" else "norm"
-            require_hypotheses(ff.function, family)
-        radii = cfg["radii"] if cfg["radii"] is not None else _default_radii(theorem, ff)
-        for r in radii:
-            r = float(r)
-            if theorem in ("thm1", "cor1"):
-                fields = verdict_to_json(check_bohr(ff.function, r, tol))
-            elif theorem == "cor2":
-                fields = verdict_to_json(check_cor2(ff.function, r, tol))
-            elif theorem == "bb2remark":
-                fields = verdict_to_json(check_bb2_norm_bound(ff.function, r, tol))
-            else:
-                bounds = check_thm2_bounds(ff.function, r, tol)
-                parts = [
-                    verdict_to_json(bounds.bohr),
-                    proof_report_to_json(bounds.eq2),
-                    proof_report_to_json(bounds.final),
-                ]
-                worst = max((p["status"] for p in parts), key=_SEVERITY.index)
-                fields = {**parts[0], "status": worst, "parts": parts}
-            entries.append(_row(name, ff, fields))
-    return _finish(args, argv, cfg, entries, {"theorem": theorem})
+        f = ff.function
+        if family is not None:
+            require_hypotheses(f, family if ff.klass == "thm1" else "norm")
+        radii = cfg["radii"]
+        if radii is None:
+            radii = [_guaranteed_radius(f) if radius is None else radius]
+        entries += [_row(name, ff, _verdict_fields(check(f, float(r), tol))) for r in radii]
+    return _finish(args, argv, cfg, entries, {"theorem": args.theorem})
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +369,12 @@ def cmd_proofcheck(args, argv) -> int:
                 )
         f = ff.function
         for step in steps:
-            spec = STEPS[step]
-            for r in (radii if spec.param == "r" else [0.5]):
-                if spec.applies and not spec.applies(abs_operator(f.coefficient0()), r):
+            for r in (radii if STEPS[step].param == "r" else [0.5]):
+                try:
+                    rep = proof_step_validate(f, step, k=k, r=r, z_samples=samples)
+                except StepNotApplicable:
                     skipped += 1
                     continue
-                rep = proof_step_validate(f, step, k=k, r=r, z_samples=samples)
                 fields = {**proof_report_to_json(rep), "location": str(rep.location)}
                 entries.append(_row(name, ff, fields))
     return _finish(args, argv, cfg, entries, {"skipped": skipped}, f" skipped={skipped}")

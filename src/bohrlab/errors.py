@@ -45,5 +45,9 @@ class StepClassMismatch(HypothesisViolated):
     """Check or proof step does not belong to the hypothesis class of the function."""
 
 
+class StepNotApplicable(HypothesisViolated):
+    """Proof step has nothing to say at these arguments, on a function that meets its hypotheses."""
+
+
 class DomainError(BohrlabError):
     """Scalar argument outside the formula's stated domain."""

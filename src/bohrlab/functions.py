@@ -124,11 +124,25 @@ class OperatorFunction:
     def evaluate(self, z: complex) -> np.ndarray:
         raise NotImplementedError
 
-    def coefficients(self, N: int) -> CoefficientSeries:
+    def _terms(self, N: int) -> tuple:
+        """A_0, ..., A_N by the class's coefficient formula."""
         raise NotImplementedError
 
+    def tail_bound(self, N: int) -> float:
+        """A bound on ||A_n|| for every n > N >= 0 that generates no coefficient."""
+        raise NotImplementedError
+
+    def _exact(self, N: int) -> bool:
+        """Whether A_n = 0 for every n > N."""
+        return False
+
+    def coefficients(self, N: int) -> CoefficientSeries:
+        if N < 0:
+            raise ValueError("N must be >= 0")
+        return CoefficientSeries(self._terms(N), self.tail_bound(N), self._exact(N))
+
     def coefficient0(self) -> np.ndarray:
-        return self.coefficients(0).coeffs[0]
+        return self._terms(0)[0]
 
     def sample(self, points) -> FunctionSamples:
         pts = np.asarray(points, dtype=np.complex128)
@@ -167,18 +181,15 @@ class Polynomial(OperatorFunction):
             acc = acc * z + A
         return acc
 
-    def coefficient0(self) -> np.ndarray:
-        return self.coeffs[0]
-
-    def coefficients(self, N: int) -> CoefficientSeries:
-        if N < 0:
-            raise ValueError("N must be >= 0")
+    def _terms(self, N: int) -> tuple:
         zero = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        if N >= self.degree:
-            coeffs = self.coeffs + (zero,) * (N - self.degree)
-            return CoefficientSeries(coeffs, 0.0, exact=True)
-        tail = max(operator_norm(c) for c in self.coeffs[N + 1:])
-        return CoefficientSeries(self.coeffs[: N + 1], tail, exact=False)
+        return self.coeffs[: N + 1] + (zero,) * (N - self.degree)
+
+    def tail_bound(self, N: int) -> float:
+        return max((operator_norm(c) for c in self.coeffs[N + 1:]), default=0.0)
+
+    def _exact(self, N: int) -> bool:
+        return N >= self.degree
 
 
 class MobiusLift(OperatorFunction):
@@ -200,7 +211,7 @@ class MobiusLift(OperatorFunction):
             raise HypothesisViolated("basis must be unitary")
         lam = np.asarray(lambdas, dtype=np.complex128).reshape(-1)
         eps = np.asarray(phases, dtype=np.complex128).reshape(-1)
-        deg = np.asarray(degrees, dtype=np.int64).reshape(-1)
+        deg = np.asarray(degrees).reshape(-1)
         if not (len(lam) == len(eps) == len(deg) == self.dim):
             raise DimensionMismatch("need one (lambda, phase, degree) per channel")
         cap = 1.0 if allow_boundary else 1.0 - MOBIUS_PARAM_CAP
@@ -208,13 +219,13 @@ class MobiusLift(OperatorFunction):
             raise HypothesisViolated(f"|lambda| must stay <= {cap}")
         if not np.max(np.abs(np.abs(eps) - 1.0)) <= 1e-12:
             raise HypothesisViolated("inner phases must be unimodular")
-        if np.min(deg) < 1:
-            raise HypothesisViolated("inner degrees must be >= 1")
+        if not (deg.dtype.kind in "iu" and all(1 <= m < 2**63 for m in deg.tolist())):
+            raise HypothesisViolated("inner degrees must be integers in [1, 2**63)")
         self.basis = Q.copy()
         self.lambdas = lam
         # stored verbatim (validated unimodular) so round-trips are exact
         self.phases = eps
-        self.degrees = deg
+        self.degrees = deg.astype(np.int64)
         self.allow_boundary = bool(allow_boundary)
         for arr in (self.basis, self.lambdas, self.phases, self.degrees):
             arr.setflags(write=False)
@@ -242,11 +253,11 @@ class MobiusLift(OperatorFunction):
             out[i] = (1.0 - abs(lam) ** 2) * eps**j * (-np.conj(lam)) ** (j - 1)
         return out
 
-    def coefficients(self, N: int) -> CoefficientSeries:
-        if N < 0:
-            raise ValueError("N must be >= 0")
-        coeffs = tuple(self._lift(self.channel_coefficient(n)) for n in range(N + 1))
-        return CoefficientSeries(coeffs, 1.0, exact=False)
+    def _terms(self, N: int) -> tuple:
+        return tuple(self._lift(self.channel_coefficient(n)) for n in range(N + 1))
+
+    def tail_bound(self, N: int) -> float:
+        return 1.0
 
 
 class TransferRealization(OperatorFunction):
@@ -284,24 +295,23 @@ class TransferRealization(OperatorFunction):
             raise NotInvertible(str(exc)) from exc
         return D + z * (C @ X)
 
-    def coefficient0(self) -> np.ndarray:
-        return self.blocks[3].copy()
-
-    def coefficients(self, N: int) -> CoefficientSeries:
-        if N < 0:
-            raise ValueError("N must be >= 0")
+    def _terms(self, N: int) -> tuple:
         A, B, C, D = self.blocks
         coeffs = [D.copy()]
         P = B.copy()
         for _ in range(N):
             coeffs.append(C @ P)
             P = A @ P
-        if self.state_dim == 0:
-            return CoefficientSeries(tuple(coeffs), 0.0, exact=True)
-        # B and C are rectangular; spectral norms taken directly
+        return tuple(coeffs)
+
+    def tail_bound(self, N: int) -> float:
+        A, B, C, _ = self.blocks
+        # B and C are rectangular; spectral norms taken directly (0.0 at state_dim 0)
         norms = [np.linalg.norm(M, 2) for M in (C, A, B)]
-        tail = float(norms[0] * norms[1] ** N * norms[2])
-        return CoefficientSeries(tuple(coeffs), min(tail, 1.0), exact=False)
+        return min(float(norms[0] * norms[1] ** N * norms[2]), 1.0)
+
+    def _exact(self, N: int) -> bool:
+        return self.state_dim == 0
 
 
 class HalfPlaneLift(OperatorFunction):
@@ -340,8 +350,6 @@ class HalfPlaneLift(OperatorFunction):
     def a0(self) -> np.ndarray:
         return (self.basis * self.diag) @ self.basis.conj().T
 
-    coefficient0 = a0
-
     def symbol(self, z: complex) -> complex:
         return -2.0 * self.t * z / (1.0 - self.beta * z)
 
@@ -350,16 +358,13 @@ class HalfPlaneLift(OperatorFunction):
         vals = self.diag + (1.0 - self.diag) * self.symbol(z)
         return (self.basis * vals) @ self.basis.conj().T
 
-    def coefficients(self, N: int) -> CoefficientSeries:
-        if N < 0:
-            raise ValueError("N must be >= 0")
+    def _terms(self, N: int) -> tuple:
         A0 = self.a0()
         gap = identity(self.dim) - A0
-        coeffs = [A0]
-        for n in range(1, N + 1):
-            coeffs.append(gap * (-2.0 * self.t * self.beta ** (n - 1)))
-        tail = 2.0 * operator_norm(gap) * abs(self.beta) ** N
-        return CoefficientSeries(tuple(coeffs), tail, exact=False)
+        return (A0, *(gap * (-2.0 * self.t * self.beta ** (n - 1)) for n in range(1, N + 1)))
+
+    def tail_bound(self, N: int) -> float:
+        return 2.0 * operator_norm(identity(self.dim) - self.a0()) * abs(self.beta) ** N
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +431,7 @@ def reconstruct_from_transform(A0, phi: FunctionSamples) -> FunctionSamples:
     A0 = as_matrix(A0)
     if operator_norm(A0) >= 1.0:
         raise HypothesisViolated("||A_0|| < 1 is required")
-    if not is_normal(A0, tol=1e-10):
+    if not is_normal(A0):
         raise HypothesisViolated("A_0 must be normal")
     dim = A0.shape[0]
     if phi.values.shape[1:] != A0.shape:

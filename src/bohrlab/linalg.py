@@ -69,10 +69,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     basis: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
 
 def hermitian_eigen(H: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of the Hermitian part of H, eigenvalues ascending."""
@@ -178,10 +174,10 @@ def commutator_norm(A: np.ndarray, B: np.ndarray) -> float:
     return frobenius(A @ B - B @ A)
 
 
-def is_normal(A: np.ndarray, tol: float = 1e-12) -> bool:
-    """True iff ||A*A - AA*||_F <= tol * (1 + ||A||_F^2)."""
+def is_normal(A: np.ndarray) -> bool:
+    """True iff ||A*A - AA*||_F <= 1e-10 (1 + ||A||_F^2)."""
     Ah = A.conj().T
-    return frobenius(Ah @ A - A @ Ah) <= tol * (1.0 + frobenius(A) ** 2)
+    return frobenius(Ah @ A - A @ Ah) <= 1e-10 * (1.0 + frobenius(A) ** 2)
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:

@@ -38,6 +38,7 @@ from bohrlab.errors import (
     HypothesisViolated,
     OutsideDomain,
     StepClassMismatch,
+    StepNotApplicable,
 )
 from bohrlab.functions import (
     HalfPlaneLift,
@@ -48,7 +49,7 @@ from bohrlab.functions import (
     generate_transfer_instance,
     mobius_witness,
 )
-from bohrlab.linalg import abs_operator, hermitian_part, identity, loewner_leq
+from bohrlab.linalg import abs_operator, hermitian_part, identity, loewner_leq, random_unitary
 
 
 def scalar_majorant(lam: float, r: float) -> float:
@@ -124,8 +125,22 @@ def _verdict_bytes(v) -> tuple:
     return (v.status, v.r, v.lhs_extreme, v.truncation_gap, v.N_used, witness)
 
 
+def _diagonal_polynomial() -> Polynomial:
+    """Degree 100, in thm1, with ||A_n|| > 0 beyond the first rung."""
+    tail = [0.02 * 0.97**n * np.diag([1.0, 0.5]) for n in range(1, 101)]
+    return Polynomial([np.diag([0.3, 0.2])] + tail)
+
+
 def test_a_warm_term_store_gives_the_verdicts_of_a_fresh_function():
     radii = (0.3, 0.5, 0.7, 0.9, 0.99)
+    # grown straight to the rung covering n = 100, the store reads the first
+    # rung's nonzero tail bound from tail_bound
+    warm = _diagonal_polynomial()
+    coefficient_bound_eq14(warm, max_n=100)
+    assert warm.tail_bound(INITIAL_N) > 0.0
+    for r in radii:
+        fresh = _diagonal_polynomial()
+        assert _verdict_bytes(check_bohr(warm, r)) == _verdict_bytes(check_bohr(fresh, r))
     warm = generate_thm1_instance(4, degrees=(1, 10), seed=17)
     empirical_bohr_radius(warm)
     assert check_bb2_norm_bound(warm, 0.999).N_used == 4096
@@ -193,8 +208,8 @@ def test_bisection_generates_each_rung_once():
         rungs = [N for N in seen if N >= INITIAL_N]
         assert rungs and len(rungs) == len(set(rungs))
 
-    # an eq14 chain past the first rung climbs through it, so a later verdict
-    # finds every rung's tail bound in the store
+    # an eq14 chain past the first rung grows straight to the rung covering
+    # it; a later verdict reads the first rung's tail from tail_bound
     h = mobius_witness(0.5, degree=3)
     coefficient_bound_eq14(h, max_n=70)
     h_orders = _count_orders(h)
@@ -232,6 +247,33 @@ def test_check_cor2_domain_and_gate():
     nonscalar = MobiusLift(np.eye(2), [0.3, 0.6], [1.0, 1.0], [1, 1])
     with pytest.raises(HypothesisViolated):
         check_cor2(nonscalar, 0.5)
+
+
+# lambdas of a MobiusLift in a random basis -> whether the cor2 gate admits
+# it; the largest |lambda_i - mean(lambda)| is the scalar defect of A_0
+MOBIUS_COR2 = {
+    "equal": ([0.4, 0.4, 0.4], True),
+    "equal complex": ([0.3 - 0.2j] * 3, True),
+    "defect 6.7e-9": ([0.4, 0.4 + 1e-8, 0.4], True),
+    "defect 2e-8": ([0.4, 0.4 + 3e-8, 0.4], False),
+    "unequal": ([0.3, 0.6, 0.3], False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOBIUS_COR2))
+def test_cor2_gate_decides_a_mobius_lift_from_its_lambdas(name, monkeypatch):
+    lambdas, admitted = MOBIUS_COR2[name]
+    f = MobiusLift(random_unitary(3, 5), lambdas, [1.0, 1j, -1.0], [1, 2, 3])
+
+    def sampled(*args):
+        raise AssertionError("hypothesis_check ran")
+
+    monkeypatch.setattr("bohrlab.checks.hypothesis_check", sampled)
+    if admitted:
+        assert check_cor2(f, 0.5).status is not Status.INCONCLUSIVE
+    else:
+        with pytest.raises(HypothesisViolated, match="^cor2 hypotheses fail: a0_scalar_defect$"):
+            check_cor2(f, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +367,14 @@ def test_eq11_needs_radius_below_the_smallest_channel():
     f = mobius_witness(0.75)
     rep = proof_step_validate(f, "eq11", r=0.4)
     assert rep.verdict.holds
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(StepNotApplicable):
         proof_step_validate(f, "eq11", r=0.9)
+    # outside thm1 the gate refuses first, whatever r
+    w = counterexample_search("drop-commutation", 2, budget=10, seed=1).witness.function
+    for r in (0.3, 0.99):
+        with pytest.raises(HypothesisViolated, match="thm1 hypotheses fail") as exc:
+            proof_step_validate(w, "eq11", r=r)
+        assert not isinstance(exc.value, StepNotApplicable)
 
 
 def test_real_part_steps_pass_on_generated_instances():
@@ -533,6 +581,35 @@ def test_search_is_deterministic_in_seed():
     assert a.trials == b.trials and a.skipped == b.skipped
     assert a.witness.radius == b.witness.radius
     assert a.witness.verdict.lhs_extreme == b.witness.verdict.lhs_extreme
+
+
+# (relaxation, dim, budget, seed) -> (trials, skipped, witness trial, radius),
+# as counterexample_search returned them when it spawned every seed up front
+SEARCHES = {
+    ("drop-commutation", 2, 10, 0): (3, 0, 2, 0.35252259164631483),
+    ("drop-commutation", 2, 10, 3): (2, 0, 1, 0.35491008016461517),
+    ("drop-commutation", 4, 10, 1): (2, 0, 1, 0.3538647864780884),
+    ("drop-normality", 3, 20, 2): (20, 0, None, None),
+    ("weak-norm-bound", 2, 5, 0): (5, 0, None, None),
+    ("drop-commutation", 1, 3, 0): (3, 3, None, None),
+}
+
+
+@pytest.mark.parametrize("case", list(SEARCHES), ids=str)
+def test_search_builds_each_trial_seed_alone(case, monkeypatch):
+    class NoSpawn(np.random.SeedSequence):
+        def spawn(self, n_children):
+            raise AssertionError("spawn builds every child seed up front")
+
+    monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+    result = counterexample_search(*case)
+    trials, skipped, trial, radius = SEARCHES[case]
+    assert (result.trials, result.skipped) == (trials, skipped)
+    if trial is None:
+        assert result.witness is None
+    else:
+        assert result.witness.trial == trial
+        assert result.witness.radius == pytest.approx(radius, rel=1e-9, abs=0.0)
 
 
 def test_search_skips_dimension_one_for_structure_relaxations():

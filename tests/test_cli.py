@@ -200,6 +200,17 @@ def test_proofcheck_skips_inapplicable_eq11_radii(cli_files, tmp_path):
     assert rec["skipped"] == 0 and len(rec["verdicts"]) == 1
 
 
+def test_eq11_gates_the_function_before_its_radius_test(tmp_path, capsys):
+    # the witness is outside thm1; at r = 0.99 eq11 is inapplicable too, and
+    # that used to be tested first and counted as a skip (exit 0)
+    argv = ["search", "--relax", "drop-commutation", "--dim", "2", "--seed", "1", "--budget", "10"]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_WITNESS
+    witness = str(tmp_path / "witness_drop-commutation_d2_s1.json")
+    for r in ("0.3", "0.99"):
+        assert main(["proofcheck", witness, "--steps", "eq11", "--r", r]) == EXIT_ERROR
+        assert "thm1 hypotheses fail: max_commutator" in capsys.readouterr().err
+
+
 def test_proofcheck_transfer_uses_the_norm_step(cli_files, tmp_path):
     out = tmp_path / "n.json"
     assert main(["proofcheck", cli_files["transfer"], "--out", str(out)]) == EXIT_OK
@@ -469,9 +480,9 @@ def _coeff(**matrix):
     return {**_GOOD, "data": {"coeffs": [{"dim": 1, "entries": [[0.5, 0.0]], **matrix}]}}
 
 
-def _mobius(lam):
+def _mobius(lam, degree=1):
     data = {"basis": {"dim": 1, "entries": [[1.0, 0.0]]}, "lambdas": [[lam, 0.0]],
-            "phases": [[1.0, 0.0]], "degrees": [1]}
+            "phases": [[1.0, 0.0]], "degrees": [degree]}
     return {**_GOOD, "kind": "mobius", "data": data}
 
 
@@ -498,6 +509,7 @@ MALFORMED_FILES = {
     "polynomial entry Infinity": _coeff(entries=[[float("inf"), 0.0]]),
     "mobius lambda NaN": _mobius(float("nan")),
     "mobius lambda Infinity": _mobius(float("inf")),
+    "mobius degree above int64": _mobius(0.5, 10**30),
     "halfplane diag NaN": _halfplane(float("nan")),
     "halfplane diag Infinity": _halfplane(float("inf")),
 }

@@ -1,5 +1,7 @@
 """Function representations: evaluation, coefficients, transforms, generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,60 @@ def test_polynomial_coefficients_exact_and_truncated():
     assert t.tail_norm_bound >= operator_norm(f.coeffs[3])
 
 
+_R = [[0.6, 0.8], [-0.8, 0.6]]
+_CUBIC = Polynomial([np.diag([0.5, 0.25]), [[0, 0.125j], [0.25, 0]], 0.125 * np.eye(2),
+                     [[0.0625, 0], [0, -0.0625j]]])
+# (function, N, exact) for each kind; a polynomial below, at and above its
+# degree; a transfer function with state_dim 0; and two series whose tail
+# bound is 0.0 although they are not exact
+PINNED_SERIES = {
+    "polynomial below degree": (_CUBIC, 1, False),
+    "polynomial at degree": (_CUBIC, 3, True),
+    "polynomial above degree": (_CUBIC, 5, True),
+    "polynomial zero tail": (Polynomial([0.3 * np.eye(2), np.zeros((2, 2))]), 0, False),
+    "mobius": (MobiusLift(_R, [0.5, -0.25 + 0.125j], [1, 1j], [1, 3]), 6, False),
+    "transfer": (TransferRealization([[0.6, 0.8, 0], [0, 0, 1j], [-0.8, 0.6, 0]], 1), 4, False),
+    "transfer state_dim 0": (TransferRealization(_R, 0), 2, True),
+    "halfplane": (HalfPlaneLift(_R, [0.2, 0.6], 0.25, 0.3 + 0.1j), 4, False),
+    "halfplane beta 0": (HalfPlaneLift(_R, [0.2, 0.6], 0.25, 0.0), 2, False),
+}
+# sha256 of the coefficient bytes, then repr((tail, order)), of each row
+SERIES_SHA256 = {
+    "halfplane": "c100d3b370d1f2c0f24a9287738921beba26206624ca9df736c9949a96aa2ca0",
+    "halfplane beta 0": "1cc1c804202a29f9c938562cd6ef5fc380363cfaa8eebfc0c45859b982afa242",
+    "mobius": "1a2240a9d955e7d6ad08395f1c45aac25e40087a9ea13f1e06bd0a60f804e1ac",
+    "polynomial above degree": "1d6876caf34c489cedf9f7f2688b28df9d128bb0b43b3afd7a66c5972dcdf4b6",
+    "polynomial at degree": "48d8739d33444056e1544a7f7414d539b10c0c550cdf7ee06bee79b5c45f1e3f",
+    "polynomial below degree": "5007ee391d8bb302f9139eb12ca5d20f779d8f8503270eecee1efa6a68e8827f",
+    "polynomial zero tail": "474dd378d8e7322d442348cdd95924b8de11dcf330bfabe2e5c89ba2c0fa29df",
+    "transfer": "73866cafc8a3fc83de99d87600771d7f823092844b3ab53add8ee41f446952cd",
+    "transfer state_dim 0": "2ba6a025df614f9eb89ce8cc8c9a420fe84058ce8410dfe7299b7ba90cfa1d37",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SERIES))
+def test_coefficient_series_are_pinned(name):
+    f, N, exact = PINNED_SERIES[name]
+    s = f.coefficients(N)
+    digest = hashlib.sha256(b"".join(A.tobytes() for A in s.coeffs))
+    digest.update(repr((s.tail_norm_bound, s.order)).encode())
+    assert digest.hexdigest() == SERIES_SHA256[name]
+    assert s.exact is exact and s.order == N
+    assert all(A.dtype == np.complex128 for A in s.coeffs)
+    assert f.coefficient0().tobytes() == s.coeffs[0].tobytes()
+    if name.endswith("zero tail") or name.endswith("beta 0"):
+        assert s.tail_norm_bound == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SERIES))
+def test_tail_bound_is_the_series_tail_and_generates_no_coefficient(name, monkeypatch):
+    f, N, _ = PINNED_SERIES[name]
+    orders = (0, N, N + 1, 70)
+    tails = [f.coefficients(n).tail_norm_bound for n in orders]
+    monkeypatch.setattr(f, "_terms", None)
+    assert [f.tail_bound(n) for n in orders] == tails
+
+
 def test_polynomial_boundary_evaluation():
     f = _scaled_polynomial(2, 3, seed=1)
     with pytest.raises(OutsideDomain):
@@ -181,8 +237,11 @@ def test_mobius_constructor_guards():
         MobiusLift(np.eye(1), [0.9995], [1.0], [1])
     with pytest.raises(HypothesisViolated):
         MobiusLift(np.eye(1), [0.5], [0.5], [1])
-    with pytest.raises(HypothesisViolated):
-        MobiusLift(np.eye(1), [0.5], [1.0], [0])
+    # a degree is an integer in [1, 2**63); the last two used to raise
+    # OverflowError and to truncate to 1
+    for degree in (0, 2**63, 10**30, 1.5):
+        with pytest.raises(HypothesisViolated):
+            MobiusLift(np.eye(1), [0.5], [1.0], [degree])
     with pytest.raises(DimensionMismatch):
         MobiusLift(np.eye(2), [0.1], [1.0], [1])
 
@@ -295,9 +354,8 @@ def test_coefficient0_is_the_first_series_coefficient(f):
     f.coefficients = lambda N: calls.append(N) or generate(N)
     A0 = f.coefficient0()
     assert A0.dtype == expected.dtype and A0.tobytes() == expected.tobytes()
-    if f.kind != "mobius":
-        # the other three hold A_0 and build no series to read it
-        assert calls == []
+    # A_0 is the first term of the formula: no series is built to read it
+    assert calls == []
 
 
 def test_schur_transform_vanishes_at_zero_and_contracts():
