@@ -53,8 +53,10 @@ from .functions import (
     mobius_witness,
 )
 
-INITIAL_N = 64
-MAX_N = 4096
+# the truncation orders N a majorant is summed to; partial sums are
+# Loewner-monotone in N, so a caller may stop at the first that decides
+RUNGS = (64, 128, 256, 512, 1024, 2048, 4096)
+INITIAL_N, MAX_N = RUNGS[0], RUNGS[-1]
 DEFAULT_BOHR_TOL = 1e-9
 GRAM_TOL = 1e-8
 SERIES_TAIL_TARGET = 1e-12
@@ -146,81 +148,38 @@ def _tail(c: float, r: float, N: int) -> float:
     return c * r ** (N + 1) / (1.0 - r)
 
 
-class _TermStore:
-    """The |A_n| of one function's majorant series, the one place checks
-    computes them.
+def _abs_stacks(f: OperatorFunction, n: int) -> list:
+    """|A_0|, |A_1|, ... of f as stacks in n order, covering at least n.
 
-    It keeps |A_n| for n = 0, 1, ... as stacks in n order, and the tail
-    bound f.tail_bound(N) of each rung N visited. Growing to a larger N
-    converts only the coefficients not yet converted.
-
-    _term_store attaches a store to its function. The store keeps no
-    reference back to it, so it is freed with the function without the
-    cyclic collector. Caching is sound because functions and their arrays
-    are immutable.
+    The list is kept on f and grown to the rung covering n, converting only
+    the coefficients not yet converted. It is replaced, not grown in place,
+    so that a reader in another thread keeps a whole list, and it holds no
+    reference back to f, so that f is freed without the cyclic collector.
+    Caching is sound because functions and their arrays are immutable.
     """
-
-    def __init__(self):
-        self.abs = []
-        self.tails = {}
-
-    def grow(self, f: OperatorFunction, N: int):
-        """(blocks, c) for a rung N: |A_n| stacks covering at least n <= N,
-        and the tail bound c = f.tail_bound(N)."""
-        blocks = self.abs
-        have = sum(map(len, blocks))
-        if have <= N:
-            series = f.coefficients(N)
-            self.tails[N] = series.tail_norm_bound
-            pending = list(series.coeffs[have:])
-            del series
-            # a new list: a climb in another thread keeps a whole stack
-            blocks = self.abs = blocks + _convert(pending)
-        elif N not in self.tails:
-            self.tails[N] = f.tail_bound(N)
-        return blocks, self.tails[N]
-
-    def ladder(self, f: OperatorFunction):
-        """Yield (N, *grow(f, N)) for N = INITIAL_N, 2 INITIAL_N, ..., MAX_N.
-
-        Partial majorant sums are Loewner-monotone in N, so a caller may
-        stop at the first rung that decides its question.
-        """
+    stacks = f.__dict__.get("_abs_stacks", [])
+    have = sum(map(len, stacks))
+    if have <= n:
         N = INITIAL_N
-        while N <= MAX_N:
-            yield (N, *self.grow(f, N))
+        while N < n:
             N *= 2
-
-
-def _term_store(f: OperatorFunction) -> _TermStore:
-    """The term store of f, attached on first use."""
-    store = f.__dict__.get("_term_store")
-    if store is None:
-        store = f._term_store = _TermStore()
-    return store
-
-
-def _abs_terms(f: OperatorFunction, n: int):
-    """|A_0|, ..., |A_n| of f, read from its term store at the rung covering n."""
-    N = INITIAL_N
-    while N < n:
-        N *= 2
-    blocks, _ = _term_store(f).grow(f, N)
-    return _terms(blocks, 0, n)
+        pending = list(f.coefficients(N).coeffs[have:])
+        stacks = f._abs_stacks = stacks + _convert(pending)
+    return stacks
 
 
 def _adaptive_bohr(f: OperatorFunction, r: float, rhs: np.ndarray, tol: float) -> BohrVerdict:
-    """Climb the truncation ladder until the verdict is conclusive.
+    """Climb RUNGS until the verdict is conclusive.
 
     A Violated verdict at any finite N is already sound for the full
     series, because the partial sums only grow with N.
     """
-    if not np.isfinite(tol):
-        raise ValueError("tol must be finite")
-    for N, blocks, c in _term_store(f).ladder(f):
-        eig = hermitian_eigen(_sum(blocks, r, 0, N, f.dim) - rhs)
+    if not 0.0 <= tol < np.inf:
+        raise ValueError("tol must be finite and >= 0")
+    for N in RUNGS:
+        eig = hermitian_eigen(_sum(_abs_stacks(f, N), r, 0, N, f.dim) - rhs)
         extreme = float(eig.eigenvalues[-1])
-        tail = _tail(c, r, N)
+        tail = _tail(f.tail_bound(N), r, N)
         if extreme > tol:
             witness = eig.basis[:, -1].copy()
             return BohrVerdict(Status.VIOLATED, r, extreme, tail, N, witness)
@@ -498,20 +457,28 @@ def _gram_verdict(f, left_of, samples) -> tuple[LoewnerVerdict, complex]:
     return LoewnerVerdict(relation, worst_gap, GRAM_TOL, worst_vec), worst_z
 
 
-def _series_loewner(rungs, r: float, rhs: np.ndarray, first: int) -> LoewnerVerdict:
-    """Loewner comparison of sum_{n >= first} T_n r^n against rhs.
+def _series_loewner(
+    f: OperatorFunction, r: float, rhs: np.ndarray, first: int, squared: bool = False
+) -> LoewnerVerdict:
+    """Loewner comparison of sum_{n >= first} T_n r^n against rhs, where
+    T_n is |A_n| of f, or |A_n|^2 when squared.
 
-    rungs yields (N, blocks, c) as _TermStore.ladder does: stacks of T_n
-    covering n <= N (read only for the rung summed), and c >= ||T_n|| for
-    every n > N. The first rung whose
-    tail is negligible (<= 1e-12), or else the last, is summed and its tail
-    folded into the left side. If that still leaves a meaningful tail, a
-    would-be LessOrEqual degrades to Boundary rather than overclaiming.
+    The rung N is chosen before any coefficient is generated: the first of
+    RUNGS whose tail c r^(N+1)/(1-r) is negligible (<= 1e-12), or else the
+    last, with c = f.tail_bound(N) (c^2 when squared, since ||A_n|| <= c
+    bounds ||A_n|^2|| by c^2). That rung is summed and its tail folded into
+    the left side. If that still leaves a meaningful tail, a would-be
+    LessOrEqual degrades to Boundary rather than overclaiming.
     """
-    for N, blocks, c in rungs:
-        tail = _tail(c, r, N)
+    for N in RUNGS:
+        c = f.tail_bound(N)
+        tail = _tail(c * c if squared else c, r, N)
         if tail <= SERIES_TAIL_TARGET:
             break
+    blocks = _abs_stacks(f, N)
+    if squared:
+        # squared one stack at a time, as the sum reads it
+        blocks = (T @ T for T in blocks)
     dim = len(rhs)
     partial = _sum(blocks, r, first, N, dim)
     padded = loewner_leq(partial + tail * identity(dim), rhs)
@@ -595,7 +562,7 @@ def _validate_step(
             lhs = hermitian_part(sum(A.conj().T @ A for A in f.coefficients(k).coeffs[1:]))
             rhs = hermitian_part(gap2 @ gap2 @ S)
         else:
-            absA = _abs_terms(f, k)
+            absA = _terms(_abs_stacks(f, k), 0, k)
             absA0 = next(absA)
             lhs = np.zeros((dim, dim), dtype=np.complex128)
             power = absA0.copy()
@@ -609,29 +576,26 @@ def _validate_step(
     if spec.param == "r":
         if not 0.0 <= r < 1.0:
             raise DomainError("r must lie in [0, 1)")
-        rungs = _term_store(f).ladder(f)
-        first = 1
+        first, squared = 1, False
         if step is ProofStep.EQ11:
-            absA0 = next(_abs_terms(f, 0))
+            absA0 = _abs_stacks(f, 0)[0][0]
             if not loewner_leq(r * eye, absA0).holds:
                 raise StepNotApplicable("rI <= |A_0| fails; step not applicable")
             gap2 = hermitian_part(eye - absA0 @ absA0)
             rhs = hermitian_part(r * gap2 @ np.linalg.inv(eye - r * absA0))
         elif step is ProofStep.EQ12:
-            absA0 = next(_abs_terms(f, 0))
+            absA0 = _abs_stacks(f, 0)[0][0]
             rhs = psd_sqrt(eye - absA0 @ absA0) * (r / np.sqrt(1.0 - r * r))
         elif step is ProofStep.EQ2:
             gap = hermitian_part(eye - f.coefficient0())
             rhs = 4.0 * hermitian_part(gap @ gap) * (r / (1.0 - r))
-            # sums |A_n|^2 = A_n* A_n, squared one stack at a time as the sum
-            # reads it; ||A_n|| <= c beyond a rung bounds ||A_n|^2|| by c^2
-            rungs = ((N, (T @ T for T in blocks), c * c) for N, blocks, c in rungs)
+            squared = True  # |A_n|^2 = A_n* A_n
         elif step is ProofStep.THM2_FINAL:
             rhs = 2.0 * hermitian_part(eye - f.coefficient0()) * (r / (1.0 - r))
         else:
             rhs = eye / np.sqrt(1.0 - r * r)
             first = 0
-        return ProofStepReport(step, float(r), _series_loewner(rungs, r, rhs, first), float(r))
+        return ProofStepReport(step, float(r), _series_loewner(f, r, rhs, first, squared), float(r))
 
     return _eq14_chain(f, 1)[0]
 
@@ -639,7 +603,7 @@ def _validate_step(
 def _eq14_chain(f: OperatorFunction, max_n: int) -> list[ProofStepReport]:
     """|A_n| <= I - |A_0|^2 <= 2(I - |A_0|) as one chained verdict for each
     n = 1..max_n; the second link does not depend on n."""
-    absA = _abs_terms(f, max_n)
+    absA = _terms(_abs_stacks(f, max_n), 0, max_n)
     absA0 = next(absA)
     eye = identity(f.dim)
     mid = hermitian_part(eye - absA0 @ absA0)
@@ -873,7 +837,7 @@ def counterexample_search(
         if f is None:
             skipped += 1
             continue
-        radius = _radius_from_abs(next(_abs_terms(f, 0)))
+        radius = _radius_from_abs(_abs_stacks(f, 0)[0][0])
         verdict = check_bohr(f, radius.value)
         if verdict.status is Status.VIOLATED:
             witness = SearchWitness(trial, f, radius.value, radius.branch, verdict)

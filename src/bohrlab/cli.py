@@ -163,6 +163,8 @@ def effective_config(args) -> dict:
             value = convert(cfg[key])
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"config key {key!r} cannot take {cfg[key]!r}: {exc}") from None
+        if key in ("radii", "steps", "grid") and not value:
+            raise ValueError(f"{key} must be a non-empty list")
         if key in _CONVERTED_IN_CONFIG:
             cfg[key] = value
     for key in ("count", "budget", "samples"):
@@ -387,8 +389,6 @@ def cmd_proofcheck(args, argv) -> int:
 def cmd_radius(args, argv) -> int:
     cfg = effective_config(args)
     tol = float(cfg["tol"]) if cfg["tol"] is not None else 1e-6
-    if tol < 1e-6:
-        raise ValueError("radius tol must be >= 1e-6")
     entries = []
     for name, ff in _load_files(args.files):
         f = ff.function
@@ -639,7 +639,7 @@ def main(argv=None) -> int:
     except BohrlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, MemoryError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     finally:

@@ -113,9 +113,10 @@ def test_check_bohr_domain():
         (check_thm2_bounds, generate_thm2_instance(2, seed=5), 0.5),
     ],
 )
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-3])
 def test_verdicts_refuse_a_nonfinite_tol(check, f, r, tol):
-    # tol=nan used to climb the ladder to MAX_N and return INCONCLUSIVE
+    # tol=nan used to climb the ladder to MAX_N and return INCONCLUSIVE; a
+    # negative tol called a majorant below its bound VIOLATED
     with pytest.raises(ValueError):
         check(f, r, tol=tol)
 
@@ -215,6 +216,13 @@ def test_bisection_generates_each_rung_once():
     h_orders = _count_orders(h)
     check_bohr(h, 0.3)
     assert h_orders == []
+
+    # a proof step picks its rung from tail_bound before it generates any:
+    # eq12 at r = 0.9 sums to rung 512 and generates none of 128 and 256
+    w = mobius_witness(0.75, degree=2)
+    w_orders = _count_orders(w)
+    proof_step_validate(w, "eq12", r=0.9)
+    assert w_orders == [INITIAL_N, 512]
 
 
 def test_a_checked_function_is_freed_without_the_cycle_collector():

@@ -245,6 +245,7 @@ def test_radius_caps_on_exact_polynomials(cli_files, tmp_path):
 def test_radius_guards(cli_files):
     assert main(["radius", cli_files["thm2"]]) == EXIT_ERROR
     assert main(["radius", cli_files["pin75"], "--tol", "1e-7"]) == EXIT_ERROR
+    assert main(["radius", cli_files["pin75"], "--tol", "nan"]) == EXIT_ERROR
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +455,12 @@ MALFORMED_CONFIGS = {
     "coeffs k above MAX_N": ("coeffs", {"k": MAX_N + 1}),
     "proofcheck k above MAX_N": ("proofcheck", {"k": MAX_N + 1}),
     "samples above MAX_N": ("proofcheck", {"samples": MAX_N + 1}),
+    "steps is empty": ("proofcheck", {"steps": ","}),
+    "radii is empty": ("verify", {"radii": []}),
+    "grid is empty": ("sharpness", {"grid": ","}),
+    # 10**15 points need 7.1 PiB, beyond the address space of a process, so
+    # the request fails before anything is allocated
+    "grid beyond memory": ("sharpness", {"grid": "0.5:0.9:1000000000000000"}),
 }
 
 
