@@ -135,11 +135,20 @@ def _sum(blocks, r: float, first: int, last: int, dim: int) -> np.ndarray:
     """Hermitian part of sum_{first <= n <= last} T_n r^n, summed in n order.
 
     blocks is an iterable of stacks of T_0, T_1, ..., read no further than
-    the stack that holds T_last.
+    the stack that holds T_last. np.add.accumulate adds in n order, giving
+    the bytes of partial += T_n * r**n; reduce, BLAS or np.power would not.
     """
     partial = np.zeros((dim, dim), dtype=np.complex128)
-    for n, T in enumerate(_terms(blocks, first, last), first):
-        partial += T * r**n
+    start = 0
+    for stack in blocks:
+        lo, hi = max(first, start), min(last + 1, start + len(stack))
+        if lo < hi:
+            x = stack[lo - start : hi - start] * np.array([r**n for n in range(lo, hi)])[:, None, None]
+            x[0] += partial
+            partial = np.add.accumulate(x, axis=0, out=x)[-1]
+        start += len(stack)
+        if start > last:
+            break
     return hermitian_part(partial)
 
 
@@ -409,13 +418,14 @@ class ProofStepReport:
 
 
 def default_z_samples(count: int = 64) -> np.ndarray:
-    """Deterministic disk samples on four rings, innermost to outermost."""
+    """count disk samples on four rings, innermost to outermost: count // 4
+    on each, plus one on each of the first count % 4, so that with count >= 4
+    the outermost ring, where a Gram defect is smallest, is sampled too."""
     rings = (0.3, 0.6, 0.9, 0.975)
-    per = max(1, count // len(rings))
-    pts = [
-        rho * np.exp(2j * np.pi * k / per) for rho in rings for k in range(per)
-    ]
-    return np.asarray(pts[:count], dtype=np.complex128)
+    per, extra = divmod(count, len(rings))
+    sizes = [per + (i < extra) for i in range(len(rings))]
+    pts = [rho * np.exp(2j * np.pi * k / n) for rho, n in zip(rings, sizes) for k in range(n)]
+    return np.asarray(pts, dtype=np.complex128)
 
 
 def _worst(a: LoewnerVerdict, b: LoewnerVerdict) -> LoewnerVerdict:
@@ -431,21 +441,24 @@ def _worst(a: LoewnerVerdict, b: LoewnerVerdict) -> LoewnerVerdict:
 
 def _gram_verdict(f, left_of, samples) -> tuple[LoewnerVerdict, complex]:
     """Aggregate PSD check of left*left - right*right over z samples,
-    where right = f(z) - A_0 and left = left_of(f(z), A_0)."""
+    where right = f(z) - A_0 and left = left_of(f(z), A_0), taken on stacks of
+    INITIAL_N samples. The first sample of smallest gap is the worst."""
     A0 = f.coefficient0()
     worst_gap = np.inf
     worst_z = complex(samples[0])
     worst_vec = None
-    for z in samples:
-        fz = f.evaluate(z)
+    for start in range(0, len(samples), INITIAL_N):
+        chunk = samples[start : start + INITIAL_N]
+        fz = np.stack([f.evaluate(z) for z in chunk])
         L = left_of(fz, A0)
         R = fz - A0
-        eig = hermitian_eigen(L.conj().T @ L - R.conj().T @ R)
-        gap = float(eig.eigenvalues[0])
-        if gap < worst_gap:
-            worst_gap = gap
-            worst_z = complex(z)
-            worst_vec = eig.basis[:, 0].copy()
+        eig = hermitian_eigen(L.conj().swapaxes(-1, -2) @ L - R.conj().swapaxes(-1, -2) @ R)
+        gaps = eig.eigenvalues[:, 0]
+        i = int(np.argmin(gaps))
+        if gaps[i] < worst_gap:
+            worst_gap = float(gaps[i])
+            worst_z = complex(chunk[i])
+            worst_vec = eig.basis[i, :, 0].copy()
     if worst_gap >= GRAM_TOL:
         relation = Order.LESS_OR_EQUAL
         worst_vec = None

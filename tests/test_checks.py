@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from bohrlab import checks
 from bohrlab.checks import (
     INITIAL_N,
     Branch,
@@ -77,6 +78,44 @@ def test_majorant_sums_every_stored_term():
     partial, tail = majorant(f.coefficients(2), 0.9)
     assert abs(float(partial[0, 0].real) - (0.1 + 0.2 * 0.9 + 0.6 * 0.81)) <= 1e-15
     assert tail == 0.0
+
+
+def _loop_sum(blocks, r, first, last, dim):
+    """The per-term reference: partial += T_n r^n in n order."""
+    terms = [T for stack in blocks for T in stack]
+    partial = np.zeros((dim, dim), dtype=np.complex128)
+    for n in range(first, last + 1):
+        partial += terms[n] * r**n
+    return hermitian_part(partial)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+@pytest.mark.parametrize("squared", [False, True])
+def test_stack_sum_has_the_bytes_of_the_per_term_loop(dim, squared):
+    sizes = [64, 1, 64, 128]
+    rng = np.random.default_rng(dim)
+    A = rng.standard_normal((sum(sizes), dim, dim)) + 1j * rng.standard_normal((sum(sizes), dim, dim))
+    A[::7] = 0.0
+    T = abs_operator(A * 0.9 ** np.arange(sum(sizes))[:, None, None])
+    stacks = np.split(T, np.cumsum(sizes)[:-1])
+    terms = [S @ S for S in stacks] if squared else stacks
+    for first in (0, 1):
+        # 200 sits in the last stack, past the one-matrix stack
+        for last in (0, 63, 64, 65, 200):
+            for r in (0.0, 0.5, 1.0 - 1e-6):
+                read = []
+
+                def lazy():
+                    # squared one stack at a time as it is read, as eq2 does
+                    for k, S in enumerate(stacks):
+                        read.append(k)
+                        yield S @ S if squared else S
+
+                got = checks._sum(lazy(), r, first, last, dim)
+                want = _loop_sum(terms, r, first, last, dim)
+                assert got.tobytes() == want.tobytes(), (first, last, r)
+                # no stack beyond the one holding T_last is read
+                assert read[-1] == int(np.searchsorted(np.cumsum(sizes), last, side="right"))
 
 
 def test_check_bohr_statuses_at_the_sharp_radius():
@@ -447,6 +486,72 @@ def test_step_parameter_domains():
         proof_step_validate(f, "eq12", r=1.0)
     with pytest.raises(ValueError):
         proof_step_validate(f, "not-a-step")
+
+
+@pytest.mark.parametrize("count", [*range(1, 10), 63, 64, 65, 4095])
+def test_default_z_samples_gives_count_points(count):
+    # a count not divisible by 4 used to give 4 * (count // 4) points
+    pts = checks.default_z_samples(count)
+    assert len(pts) == count and len(set(pts.tolist())) == count
+    expected = []
+    for i, rho in enumerate((0.3, 0.6, 0.9, 0.975)):
+        n = count // 4 + (i < count % 4)
+        expected += [rho * np.exp(2j * np.pi * k / n) for k in range(n)]
+    assert pts.tobytes() == np.asarray(expected, dtype=np.complex128).tobytes()
+    if count >= 4:
+        assert np.sum(np.isclose(np.abs(pts), 0.975)) == count // 4
+
+
+def _gram_reference(f, left_of, samples):
+    """Worst gap, z and eigenvector of left*left - right*right, one sample at a time."""
+    A0 = f.coefficient0()
+    worst = (np.inf, None, None)
+    for z in samples:
+        fz = f.evaluate(z)
+        L, R = left_of(fz, A0), fz - A0
+        w, V = np.linalg.eigh(hermitian_part(L.conj().T @ L - R.conj().T @ R))
+        if w[0] < worst[0]:
+            worst = (float(w[0]), complex(z), V[:, 0].copy())
+    return worst
+
+
+def _eq5_left(fz, A0):
+    return identity(len(A0)) - A0.conj().T @ fz
+
+
+def _eq1_left(fz, A0):
+    return 2.0 * (identity(len(A0)) - A0) - (fz - A0)
+
+
+def test_batched_gram_audit_has_the_bytes_of_a_per_sample_audit():
+    # outer rings come last, so with 150 samples the worst sits in a later stack
+    samples = checks.default_z_samples(150)
+    mobius = generate_thm1_instance(3, seed=2)
+    halfplane = generate_thm2_instance(3, seed=2)
+    for f, token, left in ((mobius, "eq5", _eq5_left), (halfplane, "eq1", _eq1_left)):
+        gap, z, _ = _gram_reference(f, left, samples)
+        rep = proof_step_validate(f, token, z_samples=samples)
+        assert list(samples).index(z) >= INITIAL_N
+        assert (rep.verdict.min_gap, rep.location) == (gap, z)
+    # violated pairings report the witness of the worst sample
+    for f, left in ((halfplane, _eq5_left), (mobius, _eq1_left)):
+        gap, z, vec = _gram_reference(f, left, samples)
+        verdict, worst_z = checks._gram_verdict(f, left, samples)
+        assert (verdict.min_gap, worst_z) == (gap, z)
+        assert verdict.witness.tobytes() == vec.tobytes()
+
+
+def test_batched_gram_audit_keeps_the_first_of_tied_samples():
+    # f depends on z^2 alone, so z and -z give the same Gram defect
+    f = MobiusLift(random_unitary(3, 5), [0.2, 0.5 + 0.1j, -0.3], [1.0, 1j, -1.0], [2, 2, 2])
+    w = 0.999 * np.exp(0.7j)
+    assert f.evaluate(w).tobytes() == f.evaluate(-w).tobytes()
+    samples = list(checks.default_z_samples(160))
+    samples[70], samples[90], samples[140] = -w, w, w
+    rep = proof_step_validate(f, "eq5", z_samples=samples)
+    gap, z, _ = _gram_reference(f, _eq5_left, samples)
+    assert z == -w
+    assert (rep.verdict.min_gap, rep.location) == (gap, -w)
 
 
 def test_eq14_decimation_chain():
