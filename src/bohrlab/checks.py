@@ -160,8 +160,8 @@ def _tail(c: float, r: float, N: int) -> float:
 def _abs_stacks(f: OperatorFunction, n: int) -> list:
     """|A_0|, |A_1|, ... of f as stacks in n order, covering at least n.
 
-    The list is kept on f and grown to the rung covering n, converting only
-    the coefficients not yet converted. It is replaced, not grown in place,
+    The list is kept on f and grown to the rung covering n, generating and
+    converting only the coefficients it lacks. It is replaced, not grown in place,
     so that a reader in another thread keeps a whole list, and it holds no
     reference back to f, so that f is freed without the cyclic collector.
     Caching is sound because functions and their arrays are immutable.
@@ -169,11 +169,8 @@ def _abs_stacks(f: OperatorFunction, n: int) -> list:
     stacks = f.__dict__.get("_abs_stacks", [])
     have = sum(map(len, stacks))
     if have <= n:
-        N = INITIAL_N
-        while N < n:
-            N *= 2
-        pending = list(f.coefficients(N).coeffs[have:])
-        stacks = f._abs_stacks = stacks + _convert(pending)
+        N = max(INITIAL_N, 1 << (n - 1).bit_length())  # the rung covering n
+        stacks = f._abs_stacks = stacks + _convert(list(f.terms(have, N)))
     return stacks
 
 
@@ -572,7 +569,7 @@ def _validate_step(
         S = _powers_sum(P, k)
         gap2 = hermitian_part(eye - P)
         if step is ProofStep.EQ9:
-            lhs = hermitian_part(sum(A.conj().T @ A for A in f.coefficients(k).coeffs[1:]))
+            lhs = hermitian_part(sum(A.conj().T @ A for A in f.terms(1, k)))
             rhs = hermitian_part(gap2 @ gap2 @ S)
         else:
             absA = _terms(_abs_stacks(f, k), 0, k)

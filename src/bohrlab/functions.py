@@ -45,7 +45,12 @@ BETA_CAP = 1e-6            # half-plane symbol pole kept |beta| <= 1 - BETA_CAP
 HYPOTHESIS_TOL = 1e-8
 HYPOTHESIS_GRID = 32
 HYPOTHESIS_RADIUS = 0.999
-COMMUTATION_ORDER = 32     # coefficients checked for commutation with A_0
+COMMUTATION_ORDER = 32     # coefficients checked for commutation with A_0 (a polynomial: all)
+
+
+def _check_range(first: int, last: int) -> None:
+    if not 0 <= first <= last:
+        raise ValueError(f"terms needs 0 <= first <= last, got ({first}, {last})")
 
 
 def _check_disk_point(z: complex) -> complex:
@@ -124,8 +129,8 @@ class OperatorFunction:
     def evaluate(self, z: complex) -> np.ndarray:
         raise NotImplementedError
 
-    def _terms(self, N: int) -> tuple:
-        """A_0, ..., A_N by the class's coefficient formula."""
+    def terms(self, first: int, last: int) -> tuple:
+        """A_first, ..., A_last by the class's formula; ValueError unless 0 <= first <= last."""
         raise NotImplementedError
 
     def tail_bound(self, N: int) -> float:
@@ -137,12 +142,10 @@ class OperatorFunction:
         return False
 
     def coefficients(self, N: int) -> CoefficientSeries:
-        if N < 0:
-            raise ValueError("N must be >= 0")
-        return CoefficientSeries(self._terms(N), self.tail_bound(N), self._exact(N))
+        return CoefficientSeries(self.terms(0, N), self.tail_bound(N), self._exact(N))
 
     def coefficient0(self) -> np.ndarray:
-        return self._terms(0)[0]
+        return self.terms(0, 0)[0]
 
     def sample(self, points) -> FunctionSamples:
         pts = np.asarray(points, dtype=np.complex128)
@@ -181,9 +184,10 @@ class Polynomial(OperatorFunction):
             acc = acc * z + A
         return acc
 
-    def _terms(self, N: int) -> tuple:
+    def terms(self, first: int, last: int) -> tuple:
+        _check_range(first, last)
         zero = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        return self.coeffs[: N + 1] + (zero,) * (N - self.degree)
+        return self.coeffs[first : last + 1] + (zero,) * (last + 1 - max(first, len(self.coeffs)))
 
     def tail_bound(self, N: int) -> float:
         return max((operator_norm(c) for c in self.coeffs[N + 1:]), default=0.0)
@@ -239,22 +243,17 @@ class MobiusLift(OperatorFunction):
         vals = (self.lambdas + b) / (1.0 + np.conj(self.lambdas) * b)
         return self._lift(vals)
 
-    def channel_coefficient(self, n: int) -> np.ndarray:
-        """Per-channel scalar Taylor coefficient of order n."""
-        if n == 0:
-            return self.lambdas.copy()
-        out = np.zeros(self.dim, dtype=np.complex128)
-        for i in range(self.dim):
-            m = int(self.degrees[i])
-            if n % m:
-                continue
-            j = n // m
-            lam, eps = self.lambdas[i], self.phases[i]
-            out[i] = (1.0 - abs(lam) ** 2) * eps**j * (-np.conj(lam)) ** (j - 1)
-        return out
-
-    def _terms(self, N: int) -> tuple:
-        return tuple(self._lift(self.channel_coefficient(n)) for n in range(N + 1))
+    def terms(self, first: int, last: int) -> tuple:
+        """Lifts of the channel series: lambda_i, then (1-|l_i|^2) eps_i^j (-conj l_i)^(j-1) at n = j m_i."""
+        _check_range(first, last)
+        out = []
+        for n in range(first, last + 1):
+            vals = np.zeros(self.dim, dtype=np.complex128) if n else self.lambdas
+            for i, (lam, eps, m) in enumerate(zip(self.lambdas, self.phases, self.degrees.tolist())):
+                if n and not n % m:
+                    vals[i] = (1.0 - abs(lam) ** 2) * eps ** (n // m) * (-np.conj(lam)) ** (n // m - 1)
+            out.append(self._lift(vals))
+        return tuple(out)
 
     def tail_bound(self, N: int) -> float:
         return 1.0
@@ -295,12 +294,15 @@ class TransferRealization(OperatorFunction):
             raise NotInvertible(str(exc)) from exc
         return D + z * (C @ X)
 
-    def _terms(self, N: int) -> tuple:
+    def terms(self, first: int, last: int) -> tuple:
+        """A_0 = D, A_n = C P with P = A^(n-1) B; below first, P advances alone."""
+        _check_range(first, last)
         A, B, C, D = self.blocks
-        coeffs = [D.copy()]
-        P = B.copy()
-        for _ in range(N):
-            coeffs.append(C @ P)
+        coeffs = [D.copy()] if first == 0 else []
+        P = B
+        for n in range(1, last + 1):
+            if n >= first:
+                coeffs.append(C @ P)
             P = A @ P
         return tuple(coeffs)
 
@@ -358,10 +360,12 @@ class HalfPlaneLift(OperatorFunction):
         vals = self.diag + (1.0 - self.diag) * self.symbol(z)
         return (self.basis * vals) @ self.basis.conj().T
 
-    def _terms(self, N: int) -> tuple:
+    def terms(self, first: int, last: int) -> tuple:
+        _check_range(first, last)
         A0 = self.a0()
         gap = identity(self.dim) - A0
-        return (A0, *(gap * (-2.0 * self.t * self.beta ** (n - 1)) for n in range(1, N + 1)))
+        later = (gap * (-2.0 * self.t * self.beta ** (n - 1)) for n in range(max(first, 1), last + 1))
+        return ((A0,) if first == 0 else ()) + tuple(later)
 
     def tail_bound(self, N: int) -> float:
         return 2.0 * operator_norm(identity(self.dim) - self.a0()) * abs(self.beta) ** N
@@ -597,8 +601,7 @@ def hypothesis_check(f: OperatorFunction, klass: str) -> HypothesisReport:
     """Report-only certification of the hypothesis class of ``f``."""
     if klass not in HYPOTHESIS_CLASSES:
         raise ValueError(f"unknown hypothesis class {klass!r}")
-    series = f.coefficients(COMMUTATION_ORDER)
-    A0 = series.coeffs[0]
+    A0, *later = f.terms(0, max(COMMUTATION_ORDER, getattr(f, "degree", 0)))
     values = [f.evaluate(z) for z in hypothesis_grid()]
     fields = {}
     if klass == "thm2":
@@ -623,6 +626,6 @@ def hypothesis_check(f: OperatorFunction, klass: str) -> HypothesisReport:
         dim=f.dim,
         threshold=HYPOTHESIS_TOL,
         a0_normal_defect=_normal_defect(A0),
-        max_commutator=max(commutator_norm(A0, A) for A in series.coeffs[1:]),
+        max_commutator=max(commutator_norm(A0, A) for A in later),
         **fields,
     )

@@ -214,54 +214,81 @@ def test_threads_sharing_one_function_get_the_verdicts_of_a_fresh_one():
     assert got == [expected[r] for r in radii]
 
 
-def _count_orders(f) -> list:
-    """Record the N of every f.coefficients(N) call from now on."""
-    orders = []
-    generate = f.coefficients
+def _count_ranges(f) -> list:
+    """Record the (first, last) of every f.terms call from now on."""
+    ranges = []
+    generate = f.terms
 
-    def counting(N):
-        orders.append(N)
-        return generate(N)
+    def counting(first, last):
+        ranges.append((first, last))
+        return generate(first, last)
 
-    f.coefficients = counting
-    return orders
+    f.terms = counting
+    return ranges
+
+
+def _each_index_built_once(ranges) -> bool:
+    """Whether the ranges that grow the |A_n| stacks are disjoint and
+    contiguous from 0; coefficient0() builds (0, 0) and keeps nothing."""
+    grown = [r for r in ranges if r != (0, 0)]
+    return bool(grown) and grown[0][0] == 0 and all(
+        later[0] == earlier[1] + 1 for earlier, later in zip(grown, grown[1:])
+    )
 
 
 def test_bisection_generates_each_rung_once():
     f = mobius_witness(0.75, degree=2)
-    orders = _count_orders(f)
+    ranges = _count_ranges(f)
     radius = empirical_bohr_radius(f)
     assert abs(radius - 0.4**0.5) <= 1e-5
-    assert orders and len(orders) == len(set(orders))
+    assert _each_index_built_once(ranges)
 
-    # the proof steps read the same store: no rung is generated again
+    # the proof steps read the same store: no index is generated again
     proof_step_validate(f, "eq10", k=20)
     proof_step_validate(f, "eq12", r=0.9)
     coefficient_bound_eq14(f)
     g = generate_thm2_instance(3, seed=8)
-    g_orders = _count_orders(g)
+    g_ranges = _count_ranges(g)
     for r in (0.5, 0.95):
         check_thm2_bounds(g, r)
         proof_step_validate(g, "eq2", r=r)
         proof_step_validate(g, "thm2final", r=r)
-    for seen in (orders, g_orders):
-        rungs = [N for N in seen if N >= INITIAL_N]
-        assert rungs and len(rungs) == len(set(rungs))
+    for seen in (ranges, g_ranges):
+        assert _each_index_built_once(seen)
 
     # an eq14 chain past the first rung grows straight to the rung covering
     # it; a later verdict reads the first rung's tail from tail_bound
     h = mobius_witness(0.5, degree=3)
     coefficient_bound_eq14(h, max_n=70)
-    h_orders = _count_orders(h)
+    h_ranges = _count_ranges(h)
     check_bohr(h, 0.3)
-    assert h_orders == []
+    assert h_ranges == []
 
     # a proof step picks its rung from tail_bound before it generates any:
     # eq12 at r = 0.9 sums to rung 512 and generates none of 128 and 256
     w = mobius_witness(0.75, degree=2)
-    w_orders = _count_orders(w)
+    w_ranges = _count_ranges(w)
     proof_step_validate(w, "eq12", r=0.9)
-    assert w_orders == [INITIAL_N, 512]
+    assert w_ranges == [(0, INITIAL_N), (INITIAL_N + 1, 512)]
+
+
+WARMED = {
+    "mobius witness": lambda: mobius_witness(0.3, degree=5),
+    "thm1": lambda: generate_thm1_instance(3, degrees=(1, 10), seed=5),
+    "transfer": lambda: generate_transfer_instance(2, 2, seed=3),
+    "halfplane": lambda: generate_thm2_instance(2, seed=4),
+    "polynomial": lambda: Polynomial([0.5 * np.eye(2), [[0, 0.2], [0.1, 0]]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WARMED))
+def test_stacks_grown_by_bisection_have_the_bytes_of_one_fresh_series(name):
+    warm = WARMED[name]()
+    empirical_bohr_radius(warm)
+    grown = [T.tobytes() for stack in warm._abs_stacks for T in stack]
+    coeffs = WARMED[name]().coefficients(len(grown) - 1).coeffs
+    fresh = [abs_operator(np.stack(coeffs[i : i + INITIAL_N])) for i in range(0, len(coeffs), INITIAL_N)]
+    assert grown == [T.tobytes() for stack in fresh for T in stack]
 
 
 def test_a_checked_function_is_freed_without_the_cycle_collector():

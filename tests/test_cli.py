@@ -211,6 +211,16 @@ def test_eq11_gates_the_function_before_its_radius_test(tmp_path, capsys):
         assert "thm1 hypotheses fail: max_commutator" in capsys.readouterr().err
 
 
+def test_thm1_commands_gate_a_polynomial_on_every_coefficient(tmp_path, capsys):
+    # A_40 does not commute with A_0; the gate used to check only A_1 .. A_32
+    coeffs = [np.diag([0.1, 0.2]), *[np.zeros((2, 2))] * 39, [[0, 0.1], [0.1, 0]]]
+    path = tmp_path / "a40.json"
+    save_function_file(path, FunctionFile(Polynomial(coeffs), "polynomial"))
+    for argv in (["radius", str(path)], ["proofcheck", str(path), "--steps", "eq14"]):
+        assert main(argv) == EXIT_ERROR
+        assert "thm1 hypotheses fail: max_commutator" in capsys.readouterr().err
+
+
 def test_proofcheck_transfer_uses_the_norm_step(cli_files, tmp_path):
     out = tmp_path / "n.json"
     assert main(["proofcheck", cli_files["transfer"], "--out", str(out)]) == EXIT_OK

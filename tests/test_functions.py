@@ -176,8 +176,41 @@ def test_tail_bound_is_the_series_tail_and_generates_no_coefficient(name, monkey
     f, N, _ = PINNED_SERIES[name]
     orders = (0, N, N + 1, 70)
     tails = [f.coefficients(n).tail_norm_bound for n in orders]
-    monkeypatch.setattr(f, "_terms", None)
+    monkeypatch.setattr(f, "terms", None)
     assert [f.tail_bound(n) for n in orders] == tails
+
+
+# d = 1 instances of each kind, beside the 2 x 2 pinned ones
+SCALAR_SERIES = {
+    "scalar polynomial": Polynomial([[[0.5]], [[0.25j]], [[-0.125]]]),
+    "scalar mobius": mobius_witness(0.6, degree=3),
+    "scalar transfer": TransferRealization(_R, 1),
+    "scalar halfplane": HalfPlaneLift(np.eye(1), [0.4], 0.25, -0.5j),
+    "scalar halfplane beta 0": HalfPlaneLift(np.eye(1), [0.4], 0.25, 0.0),
+}
+# A_0 alone, eq9's range, whole and offset stacks of 64, and a first past
+# every polynomial's degree
+TERM_RANGES = ((0, 0), (1, 20), (4, 9), (64, 127), (65, 512))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SERIES) + sorted(SCALAR_SERIES))
+def test_terms_has_the_bytes_of_the_series(name):
+    f = PINNED_SERIES[name][0] if name in PINNED_SERIES else SCALAR_SERIES[name]
+    for first, last in TERM_RANGES:
+        got = f.terms(first, last)
+        want = f.coefficients(last).coeffs[first:]
+        assert len(got) == last - first + 1
+        assert [A.tobytes() for A in got] == [A.tobytes() for A in want]
+        assert all(A.shape == (f.dim, f.dim) and A.dtype == np.complex128 for A in got)
+
+
+@pytest.mark.parametrize("first, last", [(-1, 0), (0, -1), (3, 2)])
+def test_terms_needs_an_ordered_nonnegative_range(first, last):
+    for f, _, _ in PINNED_SERIES.values():
+        with pytest.raises(ValueError):
+            f.terms(first, last)
+        with pytest.raises(ValueError):
+            f.coefficients(-1)
 
 
 def test_polynomial_boundary_evaluation():
@@ -453,6 +486,19 @@ def test_generated_instances_pass_their_hypothesis_checks():
         g = generate_thm2_instance(dim, seed=i)
         assert hypothesis_check(g, "thm2").passed
         require_hypotheses(g, "thm2")
+
+
+def test_thm1_report_checks_every_coefficient_of_a_polynomial():
+    # A_40 does not commute with A_0, and every coefficient between is 0;
+    # only the first COMMUTATION_ORDER = 32 coefficients used to be checked
+    f = Polynomial([np.diag([0.1, 0.2]), *[np.zeros((2, 2))] * 39, [[0, 0.1], [0.1, 0]]])
+    report = hypothesis_check(f, "thm1")
+    assert report.failures() == ["max_commutator"]
+    assert report.max_commutator > 1e-3
+    with pytest.raises(HypothesisViolated, match="thm1 hypotheses fail: max_commutator"):
+        require_hypotheses(f, "thm1")
+    # past the degree every coefficient is 0, which commutes with A_0
+    assert hypothesis_check(Polynomial(f.coeffs[:40]), "thm1").passed
 
 
 def test_hypothesis_grid_shape():
