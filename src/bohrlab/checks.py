@@ -446,7 +446,7 @@ def _gram_verdict(f, left_of, samples) -> tuple[LoewnerVerdict, complex]:
     worst_vec = None
     for start in range(0, len(samples), INITIAL_N):
         chunk = samples[start : start + INITIAL_N]
-        fz = np.stack([f.evaluate(z) for z in chunk])
+        fz = f.sample(chunk).values
         L = left_of(fz, A0)
         R = fz - A0
         eig = hermitian_eigen(L.conj().swapaxes(-1, -2) @ L - R.conj().swapaxes(-1, -2) @ R)
@@ -552,8 +552,8 @@ def _validate_step(
 
     if spec.param == "z":
         samples = default_z_samples() if z_samples is None else np.asarray(z_samples)
-        if not len(samples):
-            raise ValueError("z_samples must not be empty")
+        if samples.ndim != 1 or not len(samples):
+            raise ValueError("z_samples must be a non-empty 1-D sequence of points")
         if step is ProofStep.EQ5:
             left = lambda fz, A0: eye - A0.conj().T @ fz
         else:

@@ -53,11 +53,35 @@ def _check_range(first: int, last: int) -> None:
         raise ValueError(f"terms needs 0 <= first <= last, got ({first}, {last})")
 
 
+def _disk_points(points) -> np.ndarray:
+    """points as a 1-D complex array, refused unless every |z| <= 1 - EVAL_GUARD."""
+    pts = np.asarray(points, dtype=np.complex128)
+    if pts.ndim != 1:
+        raise DimensionMismatch("sample points must form a 1-D array")
+    radii = np.hypot(pts.real, pts.imag)  # abs(z) to the bit; np.abs may round differently
+    outside = ~(radii <= 1.0 - EVAL_GUARD)
+    if outside.any():
+        raise OutsideDomain(f"|z| = {radii[outside][0]:.12f} is outside the guarded disk")
+    return pts
+
+
 def _check_disk_point(z: complex) -> complex:
-    z = complex(z)
-    if not abs(z) <= 1.0 - EVAL_GUARD:
-        raise OutsideDomain(f"|z| = {abs(z):.12f} is outside the guarded disk")
-    return z
+    return complex(_disk_points([complex(z)])[0])
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b of two arrays, written out as numpy's scalar complex product computes it:
+    (ar br - ai bi, ar bi + ai br), with a real factor taken as a + 0j.
+
+    numpy's array complex multiply can take a SIMD path that rounds
+    differently, so a batched product made with it may lose the bytes of
+    the per-value products it replaces.
+    """
+    real = a.real * b.real - a.imag * b.imag
+    out = np.empty(real.shape, dtype=np.complex128)
+    out.real = real
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 @dataclass(frozen=True)
@@ -101,12 +125,10 @@ class FunctionSamples:
     values: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.complex128)
+        pts = _disk_points(self.points)
         vals = np.asarray(self.values, dtype=np.complex128)
-        if pts.ndim != 1 or vals.ndim != 3 or len(pts) != vals.shape[0]:
+        if vals.ndim != 3 or len(pts) != vals.shape[0]:
             raise DimensionMismatch("points and values must match one-to-one")
-        if len(pts) and not np.max(np.abs(pts)) <= 1.0 - EVAL_GUARD:
-            raise OutsideDomain("sample points must satisfy |z| <= 1 - 1e-9")
         if not np.all(np.isfinite(vals)):
             raise ValueError("sample values must be finite")
         object.__setattr__(self, "points", pts)
@@ -148,9 +170,10 @@ class OperatorFunction:
         return self.terms(0, 0)[0]
 
     def sample(self, points) -> FunctionSamples:
-        pts = np.asarray(points, dtype=np.complex128)
-        vals = np.stack([self.evaluate(z) for z in pts])
-        return FunctionSamples(pts, vals)
+        """f at each point of a 1-D array of disk points; no point gives a (0, d, d) sample."""
+        pts = _disk_points(points)
+        vals = np.array([self.evaluate(z) for z in pts], dtype=np.complex128)
+        return FunctionSamples(pts, vals.reshape(len(pts), self.dim, self.dim))
 
 
 class Polynomial(OperatorFunction):
@@ -234,26 +257,58 @@ class MobiusLift(OperatorFunction):
         for arr in (self.basis, self.lambdas, self.phases, self.degrees):
             arr.setflags(write=False)
 
-    def _lift(self, channel_values: np.ndarray) -> np.ndarray:
-        return (self.basis * channel_values) @ self.basis.conj().T
+    def _lift(self, vals: np.ndarray) -> np.ndarray:
+        """The stack Q diag(vals_k) Q* of a (k, d) array of channel values.
+
+        Each matrix has the bytes of lifting its row alone. At d = 1 that
+        needs the product Q vals written out by _cmul: numpy multiplies a
+        1x1 Q into a stack of k values on a path that rounds differently.
+        The products by Q* are one (k d, d) x (d, d) matrix product, whose
+        entries are the same length-d sums as one product per matrix.
+        """
+        Q = self.basis
+        scaled = _cmul(Q, vals[:, None, :]) if self.dim == 1 else Q * vals[:, None, :]
+        return (scaled.reshape(-1, self.dim) @ Q.conj().T).reshape(scaled.shape)
 
     def evaluate(self, z: complex) -> np.ndarray:
-        z = _check_disk_point(z)
-        b = self.phases * z ** self.degrees
-        vals = (self.lambdas + b) / (1.0 + np.conj(self.lambdas) * b)
-        return self._lift(vals)
+        return self.sample([complex(z)]).values[0]
+
+    def sample(self, points) -> FunctionSamples:
+        """Every channel (lambda_i + b_i) / (1 + conj(lambda_i) b_i), b_i = eps_i z^m_i, at all points at once.
+
+        The parameters are tiled to the (k, d) shape of the values, so that
+        every complex product runs numpy's contiguous-array loop, the one a
+        single point's length-d products take. With a broadcast factor, a
+        (1, 1) product takes the scalar loop, which rounds differently.
+        """
+        pts = _disk_points(points)
+        lam, eps = (np.tile(x, (len(pts), 1)) for x in (self.lambdas, self.phases))
+        b = eps * pts[:, None] ** self.degrees
+        vals = (lam + b) / (1.0 + np.conj(lam) * b)
+        return FunctionSamples(pts, self._lift(vals))
 
     def terms(self, first: int, last: int) -> tuple:
-        """Lifts of the channel series: lambda_i, then (1-|l_i|^2) eps_i^j (-conj l_i)^(j-1) at n = j m_i."""
+        """Lifts of the channel series: lambda_i at n = 0, then
+        (1-|l_i|^2) eps_i^j (-conj l_i)^(j-1) at n = j m_i, all (i, j) at once.
+
+        The products go through _cmul, and |l_i|^2 through np.hypot and
+        np.float_power, which call libm per value as the scalar abs(l_i) ** 2
+        does; np.abs, np.power and a plain square round some values
+        differently. So every A_n has the bytes of the scalar formula taken
+        one n and one channel at a time.
+        """
         _check_range(first, last)
-        out = []
-        for n in range(first, last + 1):
-            vals = np.zeros(self.dim, dtype=np.complex128) if n else self.lambdas
-            for i, (lam, eps, m) in enumerate(zip(self.lambdas, self.phases, self.degrees.tolist())):
-                if n and not n % m:
-                    vals[i] = (1.0 - abs(lam) ** 2) * eps ** (n // m) * (-np.conj(lam)) ** (n // m - 1)
-            out.append(self._lift(vals))
-        return tuple(out)
+        n = np.arange(first, last + 1)[:, None]
+        hit = (n > 0) & (n % self.degrees == 0)  # (n, i) with n = j m_i, j >= 1
+        ch = np.nonzero(hit)[1]
+        j = (n // self.degrees)[hit]
+        lam = self.lambdas[ch]
+        gap = 1.0 - np.float_power(np.hypot(lam.real, lam.imag), 2.0)
+        vals = np.zeros(hit.shape, dtype=np.complex128)
+        if first == 0:
+            vals[0] = self.lambdas
+        vals[hit] = _cmul(_cmul(gap, self.phases[ch] ** j), (-np.conj(lam)) ** (j - 1))
+        return tuple(self._lift(vals))
 
     def tail_bound(self, N: int) -> float:
         return 1.0
@@ -389,7 +444,7 @@ def coefficients_dft(f: OperatorFunction, rho: float, N: int, M: int) -> Coeffic
     if M < 4 * (N + 1):
         raise GridTooCoarse(f"grid size {M} < 4 * (N + 1) = {4 * (N + 1)}")
     angles = 2.0 * np.pi * np.arange(M) / M
-    samples = np.stack([f.evaluate(rho * np.exp(1j * a)) for a in angles])
+    samples = f.sample(rho * np.exp(1j * angles)).values
     hat = np.fft.fft(samples, axis=0)
     ns = np.arange(N + 1)
     coeffs = tuple(hat[n] / (M * rho**n) for n in ns)
@@ -602,7 +657,7 @@ def hypothesis_check(f: OperatorFunction, klass: str) -> HypothesisReport:
     if klass not in HYPOTHESIS_CLASSES:
         raise ValueError(f"unknown hypothesis class {klass!r}")
     A0, *later = f.terms(0, max(COMMUTATION_ORDER, getattr(f, "degree", 0)))
-    values = [f.evaluate(z) for z in hypothesis_grid()]
+    values = f.sample(hypothesis_grid()).values
     fields = {}
     if klass == "thm2":
         eye = identity(f.dim)

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from reference_loops import loop_evaluate
 
 from bohrlab import checks
 from bohrlab.checks import (
@@ -509,6 +510,10 @@ def test_step_parameter_domains():
         proof_step_validate(f, "eq5", z_samples=[])
     with pytest.raises(ValueError):
         proof_step_validate(generate_thm2_instance(2, seed=8), "eq1", z_samples=[])
+    # samples that are not 1-D used to reach complex() and raise TypeError
+    for bad in ([[0.1, 0.2]], [[0.1], [0.2]], 0.1):
+        with pytest.raises(ValueError):
+            proof_step_validate(f, "eq5", z_samples=bad)
     with pytest.raises(DomainError):
         proof_step_validate(f, "eq12", r=1.0)
     with pytest.raises(ValueError):
@@ -534,7 +539,7 @@ def _gram_reference(f, left_of, samples):
     A0 = f.coefficient0()
     worst = (np.inf, None, None)
     for z in samples:
-        fz = f.evaluate(z)
+        fz = loop_evaluate(f, z)
         L, R = left_of(fz, A0), fz - A0
         w, V = np.linalg.eigh(hermitian_part(L.conj().T @ L - R.conj().T @ R))
         if w[0] < worst[0]:
@@ -553,9 +558,11 @@ def _eq1_left(fz, A0):
 def test_batched_gram_audit_has_the_bytes_of_a_per_sample_audit():
     # outer rings come last, so with 150 samples the worst sits in a later stack
     samples = checks.default_z_samples(150)
+    # a complex d = 1 lift is where a batched product most easily loses bytes
+    scalar = generate_thm1_instance(1, seed=0)
     mobius = generate_thm1_instance(3, seed=2)
     halfplane = generate_thm2_instance(3, seed=2)
-    for f, token, left in ((mobius, "eq5", _eq5_left), (halfplane, "eq1", _eq1_left)):
+    for f, token, left in ((scalar, "eq5", _eq5_left), (mobius, "eq5", _eq5_left), (halfplane, "eq1", _eq1_left)):
         gap, z, _ = _gram_reference(f, left, samples)
         rep = proof_step_validate(f, token, z_samples=samples)
         assert list(samples).index(z) >= INITIAL_N

@@ -82,9 +82,9 @@ def test_gen_is_byte_deterministic(tmp_path, capsys):
 
 
 def test_gen_embeds_hypothesis_reports(cli_files):
-    ff = json.loads(open(cli_files["rand1"]).read())
+    ff = json.loads(Path(cli_files["rand1"]).read_text())
     assert ff["hypothesis"]["passed"] is True
-    tr = json.loads(open(cli_files["transfer"]).read())
+    tr = json.loads(Path(cli_files["transfer"]).read_text())
     assert tr["hypothesis"] is None
 
 

@@ -4,8 +4,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from reference_loops import loop_evaluate, loop_terms
 
-from bohrlab.checks import majorant, require_hypotheses
+from bohrlab.checks import default_z_samples, majorant, require_hypotheses
 from bohrlab.errors import (
     CommutationViolated,
     DimensionMismatch,
@@ -70,6 +71,8 @@ def test_function_samples_validation():
         FunctionSamples(pts, np.zeros((3, 2, 2)))
     with pytest.raises(OutsideDomain):
         FunctionSamples(np.array([1.0]), np.zeros((1, 1, 1)))
+    with pytest.raises(DimensionMismatch):
+        FunctionSamples(np.zeros((1, 1)), np.zeros((1, 1, 1)))
 
 
 # Non-finite data must be refused where it enters: the linalg kernels
@@ -204,6 +207,20 @@ def test_terms_has_the_bytes_of_the_series(name):
         assert all(A.shape == (f.dim, f.dim) and A.dtype == np.complex128 for A in got)
 
 
+@pytest.mark.parametrize("name", sorted(PINNED_SERIES) + sorted(SCALAR_SERIES))
+def test_sample_of_no_points_is_empty(name):
+    # every class used to raise numpy's "need at least one array to stack"
+    f = PINNED_SERIES[name][0] if name in PINNED_SERIES else SCALAR_SERIES[name]
+    for points in ([], np.zeros(0)):
+        s = f.sample(points)
+        assert len(s) == 0 and s.points.shape == (0,)
+        assert s.values.shape == (0, f.dim, f.dim) and s.values.dtype == np.complex128
+    with pytest.raises(DimensionMismatch):
+        f.sample([[0.1, 0.2]])
+    with pytest.raises(OutsideDomain):
+        f.sample([0.1, 1.0])
+
+
 @pytest.mark.parametrize("first, last", [(-1, 0), (0, -1), (3, 2)])
 def test_terms_needs_an_ordered_nonnegative_range(first, last):
     for f, _, _ in PINNED_SERIES.values():
@@ -241,6 +258,54 @@ def test_mobius_channel_evaluation_matches_scalar_formula():
         chan = (f.lambdas + b) / (1.0 + np.conj(f.lambdas) * b)
         expect = (f.basis * chan) @ f.basis.conj().T
         assert frobenius(f.evaluate(z) - expect) <= 1e-12
+
+
+def _bytes(mats) -> list:
+    return [A.tobytes() for A in mats]
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_mobius_terms_have_the_bytes_of_the_scalar_loop(dim):
+    # complex anchors at d = 1 catch a lift that multiplies the stack by numpy's
+    # array product; real anchors (mobius_witness) do not
+    for degrees in ((1, 4), (1, 10)):
+        for seed in range(3):
+            for allow_boundary in (False, True):
+                f = generate_thm1_instance(dim, degrees, seed=seed, allow_boundary=allow_boundary)
+                for first, last in TERM_RANGES:
+                    assert _bytes(f.terms(first, last)) == _bytes(loop_terms(f, first, last))
+
+
+def test_mobius_terms_square_the_anchor_modulus_as_the_scalar_formula():
+    # numpy's scalar abs(l) ** 2 calls libm pow, which rounds |l|^2 of this
+    # anchor one bit away from |l| * |l|
+    f = generate_thm1_instance(1, seed=21)
+    h = abs(f.lambdas[0])
+    assert h**2 != h * h
+    assert _bytes(f.terms(0, 20)) == _bytes(loop_terms(f, 0, 20))
+
+
+def test_mobius_terms_of_huge_degrees_have_the_bytes_of_the_scalar_loop():
+    # j m_i would overflow int64 past the first multiple of these degrees
+    wide = MobiusLift(random_unitary(3, 4), [0.3 - 0.2j, 0.5j, -0.7], [1j, -1.0, np.exp(0.3j)],
+                      [2**62, 2**63 - 1, 3])
+    scalar = MobiusLift(np.eye(1), [0.4 + 0.3j], [np.exp(1.1j)], [2**63 - 1])
+    for f in (wide, scalar):
+        for first, last in TERM_RANGES + ((2**62 - 2, 2**62 + 1),):
+            assert _bytes(f.terms(first, last)) == _bytes(loop_terms(f, first, last))
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_mobius_samples_have_the_bytes_of_per_point_evaluation(dim):
+    pts = default_z_samples(64)
+    for degrees in ((1, 4), (1, 10)):
+        for seed in range(3):
+            f = generate_thm1_instance(dim, degrees, seed=seed, allow_boundary=seed == 2)
+            want = [loop_evaluate(f, z) for z in pts]
+            # a lone point at d = 1 is where a broadcast product takes numpy's scalar loop
+            for count in (64, 1, 2, 5):
+                assert f.sample(pts[:count]).values.tobytes() == np.stack(want[:count]).tobytes()
+            assert _bytes(f.evaluate(z) for z in pts) == _bytes(want)
 
 
 def test_mobius_coefficients_vanish_off_degree_multiples():

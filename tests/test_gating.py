@@ -10,6 +10,7 @@ ungated under thm1.
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ def files(tmp_path_factory):
 
 
 def test_witness_files_carry_class_polynomial(files):
-    assert json.loads(open(files["witness"]).read())["class"] == "polynomial"
+    assert json.loads(Path(files["witness"]).read_text())["class"] == "polynomial"
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY_REFUSED))
