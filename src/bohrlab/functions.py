@@ -46,6 +46,7 @@ HYPOTHESIS_TOL = 1e-8
 HYPOTHESIS_GRID = 32
 HYPOTHESIS_RADIUS = 0.999
 COMMUTATION_ORDER = 32     # coefficients checked for commutation with A_0 (a polynomial: all)
+LIFT_ROWS = 64             # rows per lifted stack of MobiusLift.terms: checks._convert frees each
 
 
 def _check_range(first: int, last: int) -> None:
@@ -65,8 +66,11 @@ def _disk_points(points) -> np.ndarray:
     return pts
 
 
-def _check_disk_point(z: complex) -> complex:
-    return complex(_disk_points([complex(z)])[0])
+def _unitary(U, what: str) -> np.ndarray:
+    U = as_matrix(U)
+    if frobenius(U.conj().T @ U - identity(U.shape[0])) > 1e-9 * U.shape[0]:
+        raise HypothesisViolated(f"{what} must be unitary")
+    return U
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,6 +86,17 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out.real = real
     out.imag = a.real * b.imag + a.imag * b.real
     return out
+
+
+def _lift(Q: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The stack Q diag(vals_k) Q* of a (k, d) array of channel values, each matrix
+    with the bytes of (Q * row) @ Q* of its row alone. At d = 1 that needs the
+    product Q vals written out by _cmul: numpy multiplies a 1x1 Q into a stack on
+    a path that rounds differently. The products by Q* are one (k d, d) x (d, d)
+    product, of the same length-d sums per entry."""
+    d = Q.shape[0]
+    scaled = _cmul(Q, vals[:, None, :]) if d == 1 else Q * vals[:, None, :]
+    return (scaled.reshape(-1, d) @ Q.conj().T).reshape(scaled.shape)
 
 
 @dataclass(frozen=True)
@@ -127,8 +142,8 @@ class FunctionSamples:
     def __post_init__(self):
         pts = _disk_points(self.points)
         vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.ndim != 3 or len(pts) != vals.shape[0]:
-            raise DimensionMismatch("points and values must match one-to-one")
+        if vals.ndim != 3 or len(pts) != vals.shape[0] or vals.shape[1] != vals.shape[2]:
+            raise DimensionMismatch("points and square values must match one-to-one")
         if not np.all(np.isfinite(vals)):
             raise ValueError("sample values must be finite")
         object.__setattr__(self, "points", pts)
@@ -149,6 +164,11 @@ class OperatorFunction:
         self.dim = int(dim)
 
     def evaluate(self, z: complex) -> np.ndarray:
+        """f(z) at one point of the guarded disk."""
+        return self.sample([complex(z)]).values[0]
+
+    def sample(self, points) -> FunctionSamples:
+        """f at each point of a 1-D array of disk points; no point gives a (0, d, d) sample."""
         raise NotImplementedError
 
     def terms(self, first: int, last: int) -> tuple:
@@ -168,12 +188,6 @@ class OperatorFunction:
 
     def coefficient0(self) -> np.ndarray:
         return self.terms(0, 0)[0]
-
-    def sample(self, points) -> FunctionSamples:
-        """f at each point of a 1-D array of disk points; no point gives a (0, d, d) sample."""
-        pts = _disk_points(points)
-        vals = np.array([self.evaluate(z) for z in pts], dtype=np.complex128)
-        return FunctionSamples(pts, vals.reshape(len(pts), self.dim, self.dim))
 
 
 class Polynomial(OperatorFunction):
@@ -196,13 +210,14 @@ class Polynomial(OperatorFunction):
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def evaluate(self, z: complex) -> np.ndarray:
-        z = _check_disk_point(z)
-        return self.boundary_evaluate(z)
+    def sample(self, points) -> FunctionSamples:
+        pts = _disk_points(points)
+        return FunctionSamples(pts, self._horner(pts))
 
-    def boundary_evaluate(self, z: complex) -> np.ndarray:
-        """Horner evaluation without the disk guard (polynomials are entire)."""
-        acc = np.zeros((self.dim, self.dim), dtype=np.complex128)
+    def _horner(self, pts: np.ndarray) -> np.ndarray:
+        """f at a 1-D array of points by Horner's rule, unguarded (polynomials are entire)."""
+        z = pts[:, None, None]
+        acc = np.zeros((len(pts), self.dim, self.dim), dtype=np.complex128)
         for A in reversed(self.coeffs):
             acc = acc * z + A
         return acc
@@ -232,10 +247,8 @@ class MobiusLift(OperatorFunction):
     kind = "mobius"
 
     def __init__(self, basis, lambdas, phases, degrees, allow_boundary: bool = False):
-        Q = as_matrix(basis)
+        Q = _unitary(basis, "basis")
         super().__init__(Q.shape[0])
-        if frobenius(Q.conj().T @ Q - identity(self.dim)) > 1e-9 * self.dim:
-            raise HypothesisViolated("basis must be unitary")
         lam = np.asarray(lambdas, dtype=np.complex128).reshape(-1)
         eps = np.asarray(phases, dtype=np.complex128).reshape(-1)
         deg = np.asarray(degrees).reshape(-1)
@@ -257,22 +270,6 @@ class MobiusLift(OperatorFunction):
         for arr in (self.basis, self.lambdas, self.phases, self.degrees):
             arr.setflags(write=False)
 
-    def _lift(self, vals: np.ndarray) -> np.ndarray:
-        """The stack Q diag(vals_k) Q* of a (k, d) array of channel values.
-
-        Each matrix has the bytes of lifting its row alone. At d = 1 that
-        needs the product Q vals written out by _cmul: numpy multiplies a
-        1x1 Q into a stack of k values on a path that rounds differently.
-        The products by Q* are one (k d, d) x (d, d) matrix product, whose
-        entries are the same length-d sums as one product per matrix.
-        """
-        Q = self.basis
-        scaled = _cmul(Q, vals[:, None, :]) if self.dim == 1 else Q * vals[:, None, :]
-        return (scaled.reshape(-1, self.dim) @ Q.conj().T).reshape(scaled.shape)
-
-    def evaluate(self, z: complex) -> np.ndarray:
-        return self.sample([complex(z)]).values[0]
-
     def sample(self, points) -> FunctionSamples:
         """Every channel (lambda_i + b_i) / (1 + conj(lambda_i) b_i), b_i = eps_i z^m_i, at all points at once.
 
@@ -285,7 +282,7 @@ class MobiusLift(OperatorFunction):
         lam, eps = (np.tile(x, (len(pts), 1)) for x in (self.lambdas, self.phases))
         b = eps * pts[:, None] ** self.degrees
         vals = (lam + b) / (1.0 + np.conj(lam) * b)
-        return FunctionSamples(pts, self._lift(vals))
+        return FunctionSamples(pts, _lift(self.basis, vals))
 
     def terms(self, first: int, last: int) -> tuple:
         """Lifts of the channel series: lambda_i at n = 0, then
@@ -308,7 +305,9 @@ class MobiusLift(OperatorFunction):
         if first == 0:
             vals[0] = self.lambdas
         vals[hit] = _cmul(_cmul(gap, self.phases[ch] ** j), (-np.conj(lam)) ** (j - 1))
-        return tuple(self._lift(vals))
+        del n, hit, ch, j, lam, gap  # not kept alive beside the lifted range
+        blocks = (vals[k : k + LIFT_ROWS] for k in range(0, len(vals), LIFT_ROWS))
+        return tuple(A for block in blocks for A in _lift(self.basis, block))
 
     def tail_bound(self, N: int) -> float:
         return 1.0
@@ -321,13 +320,11 @@ class TransferRealization(OperatorFunction):
     kind = "transfer"
 
     def __init__(self, colligation, state_dim: int):
-        U = as_matrix(colligation)
+        U = _unitary(colligation, "colligation")
         s = int(state_dim)
         if not 0 <= s < U.shape[0]:
             raise DimensionMismatch("state_dim must satisfy 0 <= s < total dim")
         super().__init__(U.shape[0] - s)
-        if frobenius(U.conj().T @ U - identity(U.shape[0])) > 1e-9 * U.shape[0]:
-            raise HypothesisViolated("colligation must be unitary")
         self.colligation = U.copy()
         self.colligation.setflags(write=False)
         self.state_dim = s
@@ -338,16 +335,18 @@ class TransferRealization(OperatorFunction):
         U = self.colligation
         return U[:s, :s], U[:s, s:], U[s:, :s], U[s:, s:]
 
-    def evaluate(self, z: complex) -> np.ndarray:
-        z = _check_disk_point(z)
+    def sample(self, points) -> FunctionSamples:
+        pts = _disk_points(points)
         A, B, C, D = self.blocks
         if self.state_dim == 0:
-            return D.copy()
+            return FunctionSamples(pts, np.repeat(D[None], len(pts), axis=0))
+        # A is tiled so that z A takes the loop of one point's product, as MobiusLift.sample
+        z, A = pts[:, None, None], np.tile(A, (len(pts), 1, 1))
         try:
             X = np.linalg.solve(identity(self.state_dim) - z * A, B)
         except np.linalg.LinAlgError as exc:
             raise NotInvertible(str(exc)) from exc
-        return D + z * (C @ X)
+        return FunctionSamples(pts, D + z * (C @ X))
 
     def terms(self, first: int, last: int) -> tuple:
         """A_0 = D, A_n = C P with P = A^(n-1) B; below first, P advances alone."""
@@ -383,10 +382,8 @@ class HalfPlaneLift(OperatorFunction):
     kind = "halfplane"
 
     def __init__(self, basis, diag, t: float, beta: complex):
-        Q = as_matrix(basis)
+        Q = _unitary(basis, "basis")
         super().__init__(Q.shape[0])
-        if frobenius(Q.conj().T @ Q - identity(self.dim)) > 1e-9 * self.dim:
-            raise HypothesisViolated("basis must be unitary")
         d = np.asarray(diag, dtype=np.float64).reshape(-1)
         if len(d) != self.dim:
             raise DimensionMismatch("need one diagonal entry per dimension")
@@ -410,10 +407,12 @@ class HalfPlaneLift(OperatorFunction):
     def symbol(self, z: complex) -> complex:
         return -2.0 * self.t * z / (1.0 - self.beta * z)
 
-    def evaluate(self, z: complex) -> np.ndarray:
-        z = _check_disk_point(z)
-        vals = self.diag + (1.0 - self.diag) * self.symbol(z)
-        return (self.basis * vals) @ self.basis.conj().T
+    def sample(self, points) -> FunctionSamples:
+        """Every channel d_i + (1 - d_i) s(z) at all points at once, with s(z) taken per point
+        in Python complex arithmetic: numpy's array division rounds some quotients differently."""
+        pts = _disk_points(points)
+        s = np.array([self.symbol(z) for z in pts.tolist()], dtype=np.complex128)[:, None]
+        return FunctionSamples(pts, _lift(self.basis, self.diag + (1.0 - self.diag) * s))
 
     def terms(self, first: int, last: int) -> tuple:
         _check_range(first, last)
@@ -439,8 +438,8 @@ def coefficients_dft(f: OperatorFunction, rho: float, N: int, M: int) -> Coeffic
     """
     if not 0.0 < rho <= 1.0 - 1e-3:
         raise OutsideDomain("rho must lie in (0, 1 - 1e-3]")
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    if any(type(n) is bool or not isinstance(n, (int, np.integer)) for n in (N, M)) or N < 0:
+        raise ValueError(f"N and M must be integers and N >= 0, got N = {N!r}, M = {M!r}")
     if M < 4 * (N + 1):
         raise GridTooCoarse(f"grid size {M} < 4 * (N + 1) = {4 * (N + 1)}")
     angles = 2.0 * np.pi * np.arange(M) / M
@@ -575,7 +574,7 @@ def certified_sup(f: Polynomial) -> tuple[float, complex]:
     d = f.degree
     M = 64 * (d + 1)
     angles = 2.0 * np.pi * np.arange(M) / M
-    norms = np.array([operator_norm(f.boundary_evaluate(np.exp(1j * a))) for a in angles])
+    norms = np.linalg.norm(f._horner(np.exp(1j * angles)), 2, axis=(1, 2))
     k = int(np.argmax(norms))
     bound = float(norms[k] / (1.0 - np.pi * d / M))
     return bound, complex(np.exp(1j * angles[k]))

@@ -1,12 +1,13 @@
-"""MobiusLift coefficients and values by the scalar formulas, one n and one
-point at a time: the reference whose bytes the batched forms must keep."""
+"""Coefficients and values of every class by the scalar formulas, one n and
+one point at a time: the references whose bytes the batched forms must keep."""
 
 import numpy as np
 
-from bohrlab.functions import MobiusLift
+from bohrlab.functions import HalfPlaneLift, MobiusLift, TransferRealization
+from bohrlab.linalg import identity
 
 
-def _lift(f: MobiusLift, vals: np.ndarray) -> np.ndarray:
+def _lift(f, vals: np.ndarray) -> np.ndarray:
     return (f.basis * vals) @ f.basis.conj().T
 
 
@@ -23,8 +24,29 @@ def loop_terms(f: MobiusLift, first: int, last: int) -> list:
 
 
 def loop_evaluate(f, z: complex) -> np.ndarray:
-    """f(z) of a MobiusLift by its channel formula at one point; f.evaluate(z) otherwise."""
-    if not isinstance(f, MobiusLift):
-        return f.evaluate(z)
-    b = f.phases * complex(z) ** f.degrees
-    return _lift(f, (f.lambdas + b) / (1.0 + np.conj(f.lambdas) * b))
+    """f(z) by its class's formula at one point, with no disk guard."""
+    z = complex(z)
+    if isinstance(f, MobiusLift):
+        b = f.phases * z ** f.degrees
+        return _lift(f, (f.lambdas + b) / (1.0 + np.conj(f.lambdas) * b))
+    if isinstance(f, HalfPlaneLift):
+        return _lift(f, f.diag + (1.0 - f.diag) * f.symbol(z))
+    if isinstance(f, TransferRealization):
+        A, B, C, D = f.blocks
+        if f.state_dim == 0:
+            return D.copy()
+        return D + z * (C @ np.linalg.solve(identity(f.state_dim) - z * A, B))
+    acc = np.zeros((f.dim, f.dim), dtype=np.complex128)  # a Polynomial, by Horner's rule
+    for A in reversed(f.coeffs):
+        acc = acc * z + A
+    return acc
+
+
+def loop_certified_sup(f) -> tuple:
+    """certified_sup of a Polynomial, by one value and one norm per boundary angle."""
+    d = f.degree
+    M = 64 * (d + 1)
+    angles = 2.0 * np.pi * np.arange(M) / M
+    norms = np.array([np.linalg.norm(loop_evaluate(f, np.exp(1j * a)), 2) for a in angles])
+    k = int(np.argmax(norms))
+    return float(norms[k] / (1.0 - np.pi * d / M)), complex(np.exp(1j * angles[k]))

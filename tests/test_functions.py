@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from reference_loops import loop_evaluate, loop_terms
+from reference_loops import loop_certified_sup, loop_evaluate, loop_terms
 
 from bohrlab.checks import default_z_samples, majorant, require_hypotheses
 from bohrlab.errors import (
@@ -73,6 +73,9 @@ def test_function_samples_validation():
         FunctionSamples(np.array([1.0]), np.zeros((1, 1, 1)))
     with pytest.raises(DimensionMismatch):
         FunctionSamples(np.zeros((1, 1)), np.zeros((1, 1, 1)))
+    # values of shape (1, 2, 3) used to be accepted
+    with pytest.raises(DimensionMismatch):
+        FunctionSamples(np.zeros(1), np.zeros((1, 2, 3)))
 
 
 # Non-finite data must be refused where it enters: the linalg kernels
@@ -106,6 +109,8 @@ NONFINITE_INPUTS = {
     "mobius evaluate complex nan": (OutsideDomain, lambda: mobius_witness(0.5).evaluate(0.1 + NAN * 1j)),
     "transfer evaluate nan": (OutsideDomain, lambda: generate_transfer_instance(2, 1).evaluate(NAN)),
     "halfplane evaluate nan": (OutsideDomain, lambda: generate_thm2_instance(2).evaluate(NAN)),
+    "dft N nan": (ValueError, lambda: coefficients_dft(mobius_witness(0.5), 0.5, NAN, 64)),
+    "dft M inf": (ValueError, lambda: coefficients_dft(mobius_witness(0.5), 0.5, 2, INF)),
 }
 
 
@@ -236,7 +241,7 @@ def test_polynomial_boundary_evaluation():
         f.evaluate(1.0)
     z = np.exp(0.7j)
     direct = sum(c * z**k for k, c in enumerate(f.coeffs))
-    assert frobenius(f.boundary_evaluate(z) - direct) <= 1e-13
+    assert frobenius(f._horner(np.array([z]))[0] - direct) <= 1e-13
 
 
 def test_polynomial_rejects_mixed_dims():
@@ -295,17 +300,46 @@ def test_mobius_terms_of_huge_degrees_have_the_bytes_of_the_scalar_loop():
             assert _bytes(f.terms(first, last)) == _bytes(loop_terms(f, first, last))
 
 
+# instances of the other classes: polynomials of degrees 0-5, transfer functions
+# of state_dim 0-4, half-plane lifts of d = 1 (complex beta) to 8
+SAMPLED = {
+    "polynomial": [_scaled_polynomial(dim, degree, seed=degree) for dim in (1, 2, 5) for degree in range(6)],
+    "transfer": [generate_transfer_instance(dim, s, seed=s) for dim in (1, 2, 4) for s in range(5)],
+    "halfplane": [generate_thm2_instance(dim, seed=seed) for dim in range(1, 9) for seed in range(3)]
+    + [HalfPlaneLift(np.eye(1), [0.4], 0.25, 0.0), HalfPlaneLift([[1j]], [0.1], 0.5, -0.3)],
+}
+
+
+def _assert_samples_have_the_bytes_of_per_point_evaluation(f):
+    pts = default_z_samples(64)
+    want = [loop_evaluate(f, z) for z in pts]
+    # a lone point is where a broadcast product takes numpy's scalar loop
+    for count in (64, 1, 2, 5):
+        assert f.sample(pts[:count]).values.tobytes() == np.stack(want[:count]).tobytes()
+    assert _bytes(f.evaluate(z) for z in pts) == _bytes(want)
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLED))
+def test_samples_have_the_bytes_of_per_point_evaluation(kind):
+    for f in SAMPLED[kind]:
+        _assert_samples_have_the_bytes_of_per_point_evaluation(f)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SERIES) + sorted(SCALAR_SERIES))
+def test_evaluate_returns_a_fresh_writeable_matrix(name):
+    f = PINNED_SERIES[name][0] if name in PINNED_SERIES else SCALAR_SERIES[name]
+    value = f.evaluate(0.25j)
+    assert value.shape == (f.dim, f.dim) and value.flags.writeable
+    owned = [a for v in vars(f).values() for a in (v if isinstance(v, tuple) else (v,))]
+    assert not any(np.shares_memory(value, a) for a in owned if isinstance(a, np.ndarray))
+
+
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_mobius_samples_have_the_bytes_of_per_point_evaluation(dim):
-    pts = default_z_samples(64)
     for degrees in ((1, 4), (1, 10)):
         for seed in range(3):
             f = generate_thm1_instance(dim, degrees, seed=seed, allow_boundary=seed == 2)
-            want = [loop_evaluate(f, z) for z in pts]
-            # a lone point at d = 1 is where a broadcast product takes numpy's scalar loop
-            for count in (64, 1, 2, 5):
-                assert f.sample(pts[:count]).values.tobytes() == np.stack(want[:count]).tobytes()
-            assert _bytes(f.evaluate(z) for z in pts) == _bytes(want)
+            _assert_samples_have_the_bytes_of_per_point_evaluation(f)
 
 
 def test_mobius_coefficients_vanish_off_degree_multiples():
@@ -505,6 +539,13 @@ def test_dft_guards():
         coefficients_dft(f, 0.9999, 4, 64)
     with pytest.raises(GridTooCoarse):
         coefficients_dft(f, 0.5, 4, 16)
+    # M = 16.5 used to return coefficients off by far more than their
+    # aliasing bounds, and N = 2.5 to raise IndexError
+    for N, M in ((2, 16.5), (2.5, 64), (2.0, 16), (2, np.float64(16)), (True, 16), (2, True), (-1, 16)):
+        with pytest.raises(ValueError):
+            coefficients_dft(mobius_witness(0.5), 0.5, N, M)
+    s = coefficients_dft(f, 0.5, np.int64(2), np.int32(16))
+    assert s.order == 2
 
 
 def test_dft_recovers_polynomial_coefficients():
@@ -644,4 +685,9 @@ def test_certified_sup_dominates_boundary_samples():
     rng = np.random.default_rng(0)
     for _ in range(50):
         z = np.exp(2j * np.pi * rng.uniform())
-        assert operator_norm(f.boundary_evaluate(z)) <= bound + 1e-12
+        assert operator_norm(loop_evaluate(f, z)) <= bound + 1e-12
+
+
+def test_certified_sup_has_the_bytes_of_the_per_angle_bound():
+    for f in SAMPLED["polynomial"]:
+        assert repr(certified_sup(f)) == repr(loop_certified_sup(f))
