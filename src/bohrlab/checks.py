@@ -42,6 +42,7 @@ from .linalg import (
 )
 from .functions import (
     HYPOTHESIS_TOL,
+    LIFT_ROWS,
     CoefficientSeries,
     HalfPlaneLift,
     MobiusLift,
@@ -114,15 +115,15 @@ def majorant(series: CoefficientSeries, r: float):
 
 def _convert(coeffs: list) -> list:
     """|A_n| of coeffs as a list of stacks, one batched abs_operator call
-    per INITIAL_N matrices.
+    per LIFT_ROWS matrices.
 
     Empties coeffs as it goes, so that each coefficient the list alone
     holds is freed once converted.
     """
     blocks = []
     while coeffs:
-        blocks.append(abs_operator(np.stack(coeffs[:INITIAL_N])))
-        del coeffs[:INITIAL_N]
+        blocks.append(abs_operator(np.stack(coeffs[:LIFT_ROWS])))
+        del coeffs[:LIFT_ROWS]
     return blocks
 
 

@@ -46,7 +46,7 @@ HYPOTHESIS_TOL = 1e-8
 HYPOTHESIS_GRID = 32
 HYPOTHESIS_RADIUS = 0.999
 COMMUTATION_ORDER = 32     # coefficients checked for commutation with A_0 (a polynomial: all)
-LIFT_ROWS = 64             # rows per lifted stack of MobiusLift.terms: checks._convert frees each
+LIFT_ROWS = 64             # rows per stack of MobiusLift.terms and of checks._convert, so each is freed once converted
 
 
 def _check_range(first: int, last: int) -> None:
@@ -169,6 +169,11 @@ class OperatorFunction:
 
     def sample(self, points) -> FunctionSamples:
         """f at each point of a 1-D array of disk points; no point gives a (0, d, d) sample."""
+        pts = _disk_points(points)
+        return FunctionSamples(pts, self._values(pts))
+
+    def _values(self, pts: np.ndarray) -> np.ndarray:
+        """The (k, d, d) stack of f at a 1-D complex array of points, unguarded."""
         raise NotImplementedError
 
     def terms(self, first: int, last: int) -> tuple:
@@ -210,12 +215,8 @@ class Polynomial(OperatorFunction):
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def sample(self, points) -> FunctionSamples:
-        pts = _disk_points(points)
-        return FunctionSamples(pts, self._horner(pts))
-
-    def _horner(self, pts: np.ndarray) -> np.ndarray:
-        """f at a 1-D array of points by Horner's rule, unguarded (polynomials are entire)."""
+    def _values(self, pts: np.ndarray) -> np.ndarray:
+        """f by Horner's rule; certified_sup calls it on the unit circle (polynomials are entire)."""
         z = pts[:, None, None]
         acc = np.zeros((len(pts), self.dim, self.dim), dtype=np.complex128)
         for A in reversed(self.coeffs):
@@ -270,30 +271,31 @@ class MobiusLift(OperatorFunction):
         for arr in (self.basis, self.lambdas, self.phases, self.degrees):
             arr.setflags(write=False)
 
-    def sample(self, points) -> FunctionSamples:
+    def _values(self, pts: np.ndarray) -> np.ndarray:
         """Every channel (lambda_i + b_i) / (1 + conj(lambda_i) b_i), b_i = eps_i z^m_i, at all points at once.
 
         The parameters are tiled to the (k, d) shape of the values, so that
         every complex product runs numpy's contiguous-array loop, the one a
         single point's length-d products take. With a broadcast factor, a
-        (1, 1) product takes the scalar loop, which rounds differently.
-        """
-        pts = _disk_points(points)
+        (1, 1) product takes the scalar loop, which rounds differently."""
         lam, eps = (np.tile(x, (len(pts), 1)) for x in (self.lambdas, self.phases))
         b = eps * pts[:, None] ** self.degrees
-        vals = (lam + b) / (1.0 + np.conj(lam) * b)
-        return FunctionSamples(pts, _lift(self.basis, vals))
+        return _lift(self.basis, (lam + b) / (1.0 + np.conj(lam) * b))
 
     def terms(self, first: int, last: int) -> tuple:
-        """Lifts of the channel series: lambda_i at n = 0, then
-        (1-|l_i|^2) eps_i^j (-conj l_i)^(j-1) at n = j m_i, all (i, j) at once.
+        """Lifts of the channel series, LIFT_ROWS coefficients per stack."""
+        vals = self._series(first, last)
+        blocks = (vals[k : k + LIFT_ROWS] for k in range(0, len(vals), LIFT_ROWS))
+        return tuple(A for block in blocks for A in _lift(self.basis, block))
 
-        The products go through _cmul, and |l_i|^2 through np.hypot and
-        np.float_power, which call libm per value as the scalar abs(l_i) ** 2
-        does; np.abs, np.power and a plain square round some values
-        differently. So every A_n has the bytes of the scalar formula taken
-        one n and one channel at a time.
-        """
+    def _series(self, first: int, last: int) -> np.ndarray:
+        """The (last - first + 1, d) channel values of A_first .. A_last: lambda_i at
+        n = 0, then (1-|l_i|^2) eps_i^j (-conj l_i)^(j-1) at n = j m_i, all (i, j) at once.
+
+        The products go through _cmul, and |l_i|^2 through np.hypot and np.float_power,
+        which call libm per value as the scalar abs(l_i) ** 2 does (np.abs, np.power and
+        a plain square round some values differently), so every value has the bytes of
+        the scalar formula taken one n and one channel at a time."""
         _check_range(first, last)
         n = np.arange(first, last + 1)[:, None]
         hit = (n > 0) & (n % self.degrees == 0)  # (n, i) with n = j m_i, j >= 1
@@ -305,9 +307,7 @@ class MobiusLift(OperatorFunction):
         if first == 0:
             vals[0] = self.lambdas
         vals[hit] = _cmul(_cmul(gap, self.phases[ch] ** j), (-np.conj(lam)) ** (j - 1))
-        del n, hit, ch, j, lam, gap  # not kept alive beside the lifted range
-        blocks = (vals[k : k + LIFT_ROWS] for k in range(0, len(vals), LIFT_ROWS))
-        return tuple(A for block in blocks for A in _lift(self.basis, block))
+        return vals
 
     def tail_bound(self, N: int) -> float:
         return 1.0
@@ -335,18 +335,18 @@ class TransferRealization(OperatorFunction):
         U = self.colligation
         return U[:s, :s], U[:s, s:], U[s:, :s], U[s:, s:]
 
-    def sample(self, points) -> FunctionSamples:
-        pts = _disk_points(points)
+    def _values(self, pts: np.ndarray) -> np.ndarray:
         A, B, C, D = self.blocks
         if self.state_dim == 0:
-            return FunctionSamples(pts, np.repeat(D[None], len(pts), axis=0))
-        # A is tiled so that z A takes the loop of one point's product, as MobiusLift.sample
-        z, A = pts[:, None, None], np.tile(A, (len(pts), 1, 1))
+            return np.repeat(D[None], len(pts), axis=0)
+        # A is tiled so that z A takes one point's product loop, as in MobiusLift._values; B is
+        # tiled because numpy < 2 reads a 2-D B beside a stack of matrices as a stack of its rows
+        z, A, B = pts[:, None, None], np.tile(A, (len(pts), 1, 1)), np.tile(B, (len(pts), 1, 1))
         try:
             X = np.linalg.solve(identity(self.state_dim) - z * A, B)
         except np.linalg.LinAlgError as exc:
             raise NotInvertible(str(exc)) from exc
-        return FunctionSamples(pts, D + z * (C @ X))
+        return D + z * (C @ X)
 
     def terms(self, first: int, last: int) -> tuple:
         """A_0 = D, A_n = C P with P = A^(n-1) B; below first, P advances alone."""
@@ -407,12 +407,11 @@ class HalfPlaneLift(OperatorFunction):
     def symbol(self, z: complex) -> complex:
         return -2.0 * self.t * z / (1.0 - self.beta * z)
 
-    def sample(self, points) -> FunctionSamples:
+    def _values(self, pts: np.ndarray) -> np.ndarray:
         """Every channel d_i + (1 - d_i) s(z) at all points at once, with s(z) taken per point
         in Python complex arithmetic: numpy's array division rounds some quotients differently."""
-        pts = _disk_points(points)
         s = np.array([self.symbol(z) for z in pts.tolist()], dtype=np.complex128)[:, None]
-        return FunctionSamples(pts, _lift(self.basis, self.diag + (1.0 - self.diag) * s))
+        return _lift(self.basis, self.diag + (1.0 - self.diag) * s)
 
     def terms(self, first: int, last: int) -> tuple:
         _check_range(first, last)
@@ -574,7 +573,7 @@ def certified_sup(f: Polynomial) -> tuple[float, complex]:
     d = f.degree
     M = 64 * (d + 1)
     angles = 2.0 * np.pi * np.arange(M) / M
-    norms = np.linalg.norm(f._horner(np.exp(1j * angles)), 2, axis=(1, 2))
+    norms = np.linalg.norm(f._values(np.exp(1j * angles)), 2, axis=(1, 2))
     k = int(np.argmax(norms))
     bound = float(norms[k] / (1.0 - np.pi * d / M))
     return bound, complex(np.exp(1j * angles[k]))

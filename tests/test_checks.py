@@ -43,6 +43,7 @@ from bohrlab.errors import (
     StepNotApplicable,
 )
 from bohrlab.functions import (
+    LIFT_ROWS,
     HalfPlaneLift,
     MobiusLift,
     Polynomial,
@@ -288,7 +289,7 @@ def test_stacks_grown_by_bisection_have_the_bytes_of_one_fresh_series(name):
     empirical_bohr_radius(warm)
     grown = [T.tobytes() for stack in warm._abs_stacks for T in stack]
     coeffs = WARMED[name]().coefficients(len(grown) - 1).coeffs
-    fresh = [abs_operator(np.stack(coeffs[i : i + INITIAL_N])) for i in range(0, len(coeffs), INITIAL_N)]
+    fresh = [abs_operator(np.stack(coeffs[i : i + LIFT_ROWS])) for i in range(0, len(coeffs), LIFT_ROWS)]
     assert grown == [T.tobytes() for stack in fresh for T in stack]
 
 

@@ -16,6 +16,7 @@ from bohrlab.errors import (
 )
 from bohrlab.functions import (
     HYPOTHESIS_TOL,
+    LIFT_ROWS,
     CoefficientSeries,
     FunctionSamples,
     HalfPlaneLift,
@@ -241,7 +242,7 @@ def test_polynomial_boundary_evaluation():
         f.evaluate(1.0)
     z = np.exp(0.7j)
     direct = sum(c * z**k for k, c in enumerate(f.coeffs))
-    assert frobenius(f._horner(np.array([z]))[0] - direct) <= 1e-13
+    assert frobenius(f._values(np.array([z]))[0] - direct) <= 1e-13
 
 
 def test_polynomial_rejects_mixed_dims():
@@ -298,6 +299,20 @@ def test_mobius_terms_of_huge_degrees_have_the_bytes_of_the_scalar_loop():
     for f in (wide, scalar):
         for first, last in TERM_RANGES + ((2**62 - 2, 2**62 + 1),):
             assert _bytes(f.terms(first, last)) == _bytes(loop_terms(f, first, last))
+
+
+def test_mobius_terms_come_in_stacks_of_their_own_of_at_most_lift_rows():
+    f = generate_thm1_instance(3, (1, 5), seed=2)
+    terms = f.terms(0, 3 * LIFT_ROWS + 5)
+    roots = []
+    for A in terms:
+        while A.base is not None:
+            A = A.base
+        roots.append(A)
+    # consecutive runs of LIFT_ROWS coefficients share one base array each, and no other
+    assert [id(root) for root in roots] == [id(roots[n - n % LIFT_ROWS]) for n in range(len(terms))]
+    assert len({id(root) for root in roots}) == -(-len(terms) // LIFT_ROWS)
+    assert max(root.size for root in roots) == LIFT_ROWS * f.dim**2
 
 
 # instances of the other classes: polynomials of degrees 0-5, transfer functions
