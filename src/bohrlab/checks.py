@@ -144,6 +144,7 @@ def _sum(blocks, r: float, first: int, last: int, dim: int) -> np.ndarray:
     for stack in blocks:
         lo, hi = max(first, start), min(last + 1, start + len(stack))
         if lo < hi:
+            # Python r**n keeps the bench digests of the campaign verify artifacts and of every transfer verdict
             x = stack[lo - start : hi - start] * np.array([r**n for n in range(lo, hi)])[:, None, None]
             x[0] += partial
             partial = np.add.accumulate(x, axis=0, out=x)[-1]
@@ -457,15 +458,7 @@ def _gram_verdict(f, left_of, samples) -> tuple[LoewnerVerdict, complex]:
             worst_gap = float(gaps[i])
             worst_z = complex(chunk[i])
             worst_vec = eig.basis[i, :, 0].copy()
-    if worst_gap >= GRAM_TOL:
-        relation = Order.LESS_OR_EQUAL
-        worst_vec = None
-    elif worst_gap <= -GRAM_TOL:
-        relation = Order.NOT_LESS_OR_EQUAL
-    else:
-        relation = Order.BOUNDARY
-        worst_vec = None
-    return LoewnerVerdict(relation, worst_gap, GRAM_TOL, worst_vec), worst_z
+    return LoewnerVerdict.of_gap(worst_gap, GRAM_TOL, worst_vec), worst_z
 
 
 def _series_loewner(

@@ -51,10 +51,10 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128)
 
 
-def require_hermitian(H: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
-    """Raise NotHermitian unless ||H - H*||_F <= rtol * (1 + ||H||_F)."""
+def require_hermitian(H: np.ndarray) -> np.ndarray:
+    """Raise NotHermitian unless ||H - H*||_F <= HERMITIAN_RTOL * (1 + ||H||_F)."""
     drift = frobenius(H - H.conj().T)
-    if drift > rtol * (1.0 + frobenius(H)):
+    if drift > HERMITIAN_RTOL * (1.0 + frobenius(H)):
         raise NotHermitian(f"Hermitian drift {drift:.3e} exceeds tolerance")
     return hermitian_part(H)
 
@@ -108,7 +108,6 @@ def psd_sqrt(P: np.ndarray) -> np.ndarray:
     if np.any(negative):
         raise NotPSD(f"lambda_min = {low[negative][0]:.3e} is too negative for a PSD sqrt")
     w[w < PSD_CLAMP_RTOL * top] = 0.0
-    w[w < 0.0] = 0.0
     S = (eig.basis * np.sqrt(w)[..., None, :]) @ eig.basis.conj().swapaxes(-1, -2)
     return hermitian_part(S)
 
@@ -134,6 +133,15 @@ class LoewnerVerdict:
     min_gap: float
     tolerance: float
     witness: np.ndarray | None = None
+
+    @classmethod
+    def of_gap(cls, gap: float, tol: float, witness: np.ndarray | None) -> LoewnerVerdict:
+        """LessOrEqual if gap >= tol, NotLessOrEqual (keeping witness) if gap <= -tol, else Boundary."""
+        if gap >= tol:
+            return cls(Order.LESS_OR_EQUAL, gap, tol)
+        if gap <= -tol:
+            return cls(Order.NOT_LESS_OR_EQUAL, gap, tol, witness)
+        return cls(Order.BOUNDARY, gap, tol)
 
     @property
     def holds(self) -> bool:
@@ -161,12 +169,7 @@ def loewner_leq(A, B, tol: float | None = None) -> LoewnerVerdict:
         raise ValueError("tol must be positive")
     D = hermitian_part(require_hermitian(B) - require_hermitian(A))
     eig = hermitian_eigen(D)
-    gap = float(eig.eigenvalues[0])
-    if gap >= tol:
-        return LoewnerVerdict(Order.LESS_OR_EQUAL, gap, tol)
-    if gap <= -tol:
-        return LoewnerVerdict(Order.NOT_LESS_OR_EQUAL, gap, tol, witness=eig.basis[:, 0].copy())
-    return LoewnerVerdict(Order.BOUNDARY, gap, tol)
+    return LoewnerVerdict.of_gap(float(eig.eigenvalues[0]), tol, eig.basis[:, 0].copy())
 
 
 def commutator_norm(A: np.ndarray, B: np.ndarray) -> float:

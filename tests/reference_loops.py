@@ -1,5 +1,6 @@
 """Coefficients and values of every class by the scalar formulas, one n and
-one point at a time: the references whose bytes the batched forms must keep."""
+one point at a time. Batched terms keep the bytes of these references;
+batched values stay within 16 eps (1 + max|f|) of them, entry by entry."""
 
 import numpy as np
 

@@ -5,6 +5,7 @@ import pytest
 
 from bohrlab.errors import DimensionMismatch, NotHermitian, NotPSD
 from bohrlab.linalg import (
+    LoewnerVerdict,
     Order,
     abs_operator,
     as_matrix,
@@ -120,6 +121,7 @@ def test_loewner_three_outcomes():
     lo = loewner_leq(np.zeros((2, 2)), eye)
     assert lo.relation is Order.LESS_OR_EQUAL and lo.holds
     assert abs(lo.min_gap - 1.0) <= 1e-12
+    assert lo.witness is None
 
     hi = loewner_leq(2.0 * eye, eye)
     assert hi.relation is Order.NOT_LESS_OR_EQUAL and not hi.holds
@@ -128,6 +130,16 @@ def test_loewner_three_outcomes():
     edge = loewner_leq(eye, eye)
     assert edge.relation is Order.BOUNDARY and edge.holds
     assert edge.witness is None
+
+
+def test_verdict_of_gap_is_decisive_at_the_tolerance_itself():
+    x = np.array([1.0, 0.0], dtype=np.complex128)
+    rules = [(1e-9, Order.LESS_OR_EQUAL, None), (-1e-9, Order.NOT_LESS_OR_EQUAL, x)]
+    rules += [(g, Order.BOUNDARY, None) for g in (0.0, 0.5e-9, -0.5e-9, np.nan)]
+    for gap, relation, witness in rules:
+        v = LoewnerVerdict.of_gap(gap, 1e-9, x)
+        assert (v.relation, v.tolerance, v.witness) == (relation, 1e-9, witness)
+        assert v.min_gap == gap or np.isnan(gap)
 
 
 def test_loewner_witness_attains_min_gap():
