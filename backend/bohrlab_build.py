@@ -10,13 +10,9 @@ import base64
 import hashlib
 import io
 import tarfile
+import tomllib
 import zipfile
 from pathlib import Path
-
-try:
-    import tomllib
-except ModuleNotFoundError:  # Python 3.10
-    import tomli as tomllib
 
 ROOT = Path(__file__).resolve().parent.parent
 SDIST_FILES = ("pyproject.toml", "README.md", "backend/bohrlab_build.py")

@@ -36,6 +36,7 @@ from .linalg import (
     identity,
     is_normal,
     loewner_leq,
+    normal_defect,
     operator_norm,
     psd_sqrt,
     random_unitary,
@@ -127,9 +128,9 @@ def _convert(coeffs: list) -> list:
     return blocks
 
 
-def _terms(blocks, first: int, last: int):
-    """T_first, ..., T_last of stacks that hold T_0, T_1, ... in n order."""
-    return itertools.islice(itertools.chain.from_iterable(blocks), first, last + 1)
+def _terms(blocks, last: int):
+    """T_0, ..., T_last of stacks that hold T_0, T_1, ... in n order."""
+    return itertools.islice(itertools.chain.from_iterable(blocks), last + 1)
 
 
 def _sum(blocks, r: float, first: int, last: int, dim: int) -> np.ndarray:
@@ -247,10 +248,8 @@ def check_bb2_norm_bound(
 
 def check_cor2(f: OperatorFunction, r: float, tol: float = DEFAULT_BOHR_TOL) -> BohrVerdict:
     """Majorant series of a scalar-A0 instance against cor2_rhs(r) I."""
-    if not (1.0 / 3.0 - 1e-12 <= r <= SQRT_HALF + 1e-12):
-        raise DomainError("check_cor2 needs r in [1/3, 1/sqrt(2)]")
-    require_hypotheses(f, "cor2")
     rhs = cor2_rhs(r) * identity(f.dim)
+    require_hypotheses(f, "cor2")
     return _adaptive_bohr(f, r, rhs, tol)
 
 
@@ -443,22 +442,18 @@ def _gram_verdict(f, left_of, samples) -> tuple[LoewnerVerdict, complex]:
     where right = f(z) - A_0 and left = left_of(f(z), A_0), taken on stacks of
     INITIAL_N samples. The first sample of smallest gap is the worst."""
     A0 = f.coefficient0()
-    worst_gap = np.inf
-    worst_z = complex(samples[0])
-    worst_vec = None
+    gaps, vecs = [], []
     for start in range(0, len(samples), INITIAL_N):
-        chunk = samples[start : start + INITIAL_N]
-        fz = f.sample(chunk).values
+        fz = f.sample(samples[start : start + INITIAL_N]).values
         L = left_of(fz, A0)
         R = fz - A0
         eig = hermitian_eigen(L.conj().swapaxes(-1, -2) @ L - R.conj().swapaxes(-1, -2) @ R)
-        gaps = eig.eigenvalues[:, 0]
-        i = int(np.argmin(gaps))
-        if gaps[i] < worst_gap:
-            worst_gap = float(gaps[i])
-            worst_z = complex(chunk[i])
-            worst_vec = eig.basis[i, :, 0].copy()
-    return LoewnerVerdict.of_gap(worst_gap, GRAM_TOL, worst_vec), worst_z
+        gaps.append(eig.eigenvalues[:, 0])
+        vecs.append(eig.basis[:, :, 0])
+    gaps = np.concatenate(gaps)
+    i = int(np.argmin(gaps))
+    witness = np.concatenate(vecs)[i].copy()
+    return LoewnerVerdict.of_gap(float(gaps[i]), GRAM_TOL, witness), complex(samples[i])
 
 
 def _series_loewner(
@@ -566,7 +561,7 @@ def _validate_step(
             lhs = hermitian_part(sum(A.conj().T @ A for A in f.terms(1, k)))
             rhs = hermitian_part(gap2 @ gap2 @ S)
         else:
-            absA = _terms(_abs_stacks(f, k), 0, k)
+            absA = _terms(_abs_stacks(f, k), k)
             absA0 = next(absA)
             lhs = np.zeros((dim, dim), dtype=np.complex128)
             power = absA0.copy()
@@ -607,7 +602,7 @@ def _validate_step(
 def _eq14_chain(f: OperatorFunction, max_n: int) -> list[ProofStepReport]:
     """|A_n| <= I - |A_0|^2 <= 2(I - |A_0|) as one chained verdict for each
     n = 1..max_n; the second link does not depend on n."""
-    absA = _terms(_abs_stacks(f, max_n), 0, max_n)
+    absA = _terms(_abs_stacks(f, max_n), max_n)
     absA0 = next(absA)
     eye = identity(f.dim)
     mid = hermitian_part(eye - absA0 @ absA0)
@@ -805,9 +800,7 @@ def _drop_normality_instance(dim: int, rng) -> Polynomial | None:
         c1, c2 = rng.uniform(-0.8, 0.8, 2)
         coeffs.append(c1 * A0 + c2 * A0 @ A0)
     f = _scale_to_schur_edge(coeffs)
-    A0s = f.coeffs[0]
-    defect = commutator_norm(A0s.conj().T, A0s)
-    if defect <= 1e-8 * (1.0 + operator_norm(A0s) ** 2):
+    if normal_defect(f.coeffs[0]) <= 1e-8:
         return None
     return f
 

@@ -35,6 +35,7 @@ from .linalg import (
     hermitian_part,
     identity,
     is_normal,
+    normal_defect,
     operator_norm,
     random_unitary,
 )
@@ -355,9 +356,7 @@ class TransferRealization(OperatorFunction):
 
     def tail_bound(self, N: int) -> float:
         A, B, C, _ = self.blocks
-        # B and C are rectangular; spectral norms taken directly (0.0 at state_dim 0)
-        norms = [np.linalg.norm(M, 2) for M in (C, A, B)]
-        return min(float(norms[0] * norms[1] ** N * norms[2]), 1.0)
+        return min(operator_norm(C) * operator_norm(A) ** N * operator_norm(B), 1.0)
 
     def _exact(self, N: int) -> bool:
         return self.state_dim == 0
@@ -562,13 +561,18 @@ def certified_sup(f: Polynomial) -> tuple[float, complex]:
     """
     if not isinstance(f, Polynomial):
         raise HypothesisViolated("sup certification works on polynomials only")
-    d = f.degree
-    M = 64 * (d + 1)
-    angles = 2.0 * np.pi * np.arange(M) / M
-    norms = np.linalg.norm(f._values(np.exp(1j * angles)), 2, axis=(1, 2))
+    norms, points = _circle_norms(f)
     k = int(np.argmax(norms))
-    bound = float(norms[k] / (1.0 - np.pi * d / M))
-    return bound, complex(np.exp(1j * angles[k]))
+    bound = float(norms[k] / (1.0 - np.pi * f.degree / len(points)))
+    return bound, complex(points[k])
+
+
+def _circle_norms(f: Polynomial) -> tuple[np.ndarray, np.ndarray]:
+    """||f(w)|| at the M = 64 (d + 1) roots of unity w, and those w. As M > d,
+    no term z^n of f is constant on them, as z^32 is on 32 points of a circle."""
+    M = 64 * (f.degree + 1)
+    points = np.exp(1j * (2.0 * np.pi * np.arange(M) / M))
+    return np.linalg.norm(f._values(points), 2, axis=(1, 2)), points
 
 
 # ---------------------------------------------------------------------------
@@ -633,11 +637,6 @@ class HypothesisReport:
         }
 
 
-def _normal_defect(A: np.ndarray) -> float:
-    Ah = A.conj().T
-    return frobenius(Ah @ A - A @ Ah) / (1.0 + frobenius(A) ** 2)
-
-
 def hypothesis_grid() -> np.ndarray:
     return HYPOTHESIS_RADIUS * np.exp(2j * np.pi * np.arange(HYPOTHESIS_GRID) / HYPOTHESIS_GRID)
 
@@ -647,14 +646,14 @@ def hypothesis_check(f: OperatorFunction, klass: str) -> HypothesisReport:
     if klass not in HYPOTHESIS_CLASSES:
         raise ValueError(f"unknown hypothesis class {klass!r}")
     A0, *later = f.terms(0, max(COMMUTATION_ORDER, getattr(f, "degree", 0)))
-    values = f.sample(hypothesis_grid()).values
     fields = {}
     if klass == "thm2":
+        values = f.sample(hypothesis_grid()).values
         eye = identity(f.dim)
         fields["grid_re_excess"] = max(
             float(hermitian_eigen(hermitian_part(v) - eye).eigenvalues[-1]) for v in values
         )
-        fields["grid_normality_defect"] = max(_normal_defect(v) for v in values)
+        fields["grid_normality_defect"] = max(normal_defect(v) for v in values)
         # A_0 >= 0 needs A_0 Hermitian; the skew part eats into the reported
         # smallest eigenvalue so a non-Hermitian A_0 cannot slip through.
         herm0 = hermitian_part(A0)
@@ -662,7 +661,11 @@ def hypothesis_check(f: OperatorFunction, klass: str) -> HypothesisReport:
         fields["a0_min_eigenvalue"] = float(a0_eigs[0]) - operator_norm(A0 - herm0)
         fields["a0_norm"] = operator_norm(A0)
     else:
-        fields["grid_norm_max"] = max(operator_norm(v) for v in values)
+        if isinstance(f, Polynomial):
+            norms = _circle_norms(f)[0]
+        else:
+            norms = np.linalg.norm(f.sample(hypothesis_grid()).values, 2, axis=(1, 2))
+        fields["grid_norm_max"] = float(norms.max())
         if klass == "cor2":
             a0_scalar = np.trace(A0) / f.dim
             fields["a0_scalar_defect"] = operator_norm(A0 - a0_scalar * identity(f.dim))
@@ -670,7 +673,7 @@ def hypothesis_check(f: OperatorFunction, klass: str) -> HypothesisReport:
         klass=klass,
         dim=f.dim,
         threshold=HYPOTHESIS_TOL,
-        a0_normal_defect=_normal_defect(A0),
+        a0_normal_defect=normal_defect(A0),
         max_commutator=max(commutator_norm(A0, A) for A in later),
         **fields,
     )

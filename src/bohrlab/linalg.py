@@ -10,9 +10,9 @@ Validation happens once, where matrices enter bohrlab: ``as_matrix`` in the
 ``OperatorFunction`` constructors, ``thm1_admissible_radius``,
 ``reconstruct_from_transform`` and ``loewner_leq``. The kernels
 (``hermitian_eigen``, ``psd_sqrt``, ``abs_operator``, ``operator_norm``,
-``commutator_norm``, ``is_normal``) take finite complex square arrays as
-given and check nothing; where a Hermitian matrix is needed they use the
-Hermitian part of what they are handed.
+``commutator_norm``, ``normal_defect``, ``is_normal``) take finite complex
+square arrays as given and check nothing; where a Hermitian matrix is needed
+they use the Hermitian part of what they are handed.
 """
 
 from __future__ import annotations
@@ -153,22 +153,18 @@ def default_loewner_tol(A: np.ndarray, B: np.ndarray) -> float:
     return 1e-9 * (1.0 + operator_norm(A) + operator_norm(B))
 
 
-def loewner_leq(A, B, tol: float | None = None) -> LoewnerVerdict:
+def loewner_leq(A, B) -> LoewnerVerdict:
     """Decide A <= B for Hermitian A, B via lambda_min(B - A).
 
-    Verdicts within ``tol`` of zero are reported as Boundary rather than
-    as violations, so exact equality cases are never misclassified.
+    A gap within ``default_loewner_tol(A, B)`` of zero is reported as
+    Boundary, so exact equality cases are never misclassified.
     """
     A = as_matrix(A)
     B = as_matrix(B)
     if A.shape != B.shape:
         raise DimensionMismatch(f"shape mismatch {A.shape} vs {B.shape}")
-    if tol is None:
-        tol = default_loewner_tol(A, B)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    D = hermitian_part(require_hermitian(B) - require_hermitian(A))
-    eig = hermitian_eigen(D)
+    tol = default_loewner_tol(A, B)
+    eig = hermitian_eigen(require_hermitian(B) - require_hermitian(A))
     return LoewnerVerdict.of_gap(float(eig.eigenvalues[0]), tol, eig.basis[:, 0].copy())
 
 
@@ -177,10 +173,15 @@ def commutator_norm(A: np.ndarray, B: np.ndarray) -> float:
     return frobenius(A @ B - B @ A)
 
 
-def is_normal(A: np.ndarray) -> bool:
-    """True iff ||A*A - AA*||_F <= 1e-10 (1 + ||A||_F^2)."""
+def normal_defect(A: np.ndarray) -> float:
+    """||A*A - AA*||_F / (1 + ||A||_F^2)."""
     Ah = A.conj().T
-    return frobenius(Ah @ A - A @ Ah) <= 1e-10 * (1.0 + frobenius(A) ** 2)
+    return frobenius(Ah @ A - A @ Ah) / (1.0 + frobenius(A) ** 2)
+
+
+def is_normal(A: np.ndarray) -> bool:
+    """True iff normal_defect(A) <= 1e-10."""
+    return normal_defect(A) <= 1e-10
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from bohrlab import Status, check_bohr, load_function_file
-from bohrlab.checks import MAX_N
+from bohrlab.checks import MAX_N, require_hypotheses
 from bohrlab.cli import _config_hash, build_parser, effective_config, main
+from bohrlab.errors import HypothesisViolated
 from bohrlab.fileio import FunctionFile, canonical_dumps, save_function_file
 from bohrlab.functions import HalfPlaneLift, Polynomial
 
@@ -219,6 +220,21 @@ def test_thm1_commands_gate_a_polynomial_on_every_coefficient(tmp_path, capsys):
     for argv in (["radius", str(path)], ["proofcheck", str(path), "--steps", "eq14"]):
         assert main(argv) == EXIT_ERROR
         assert "thm1 hypotheses fail: max_commutator" in capsys.readouterr().err
+
+
+def test_thm1_commands_gate_a_polynomial_on_its_sup_norm(tmp_path, capsys):
+    # f = 0.6 (1 - z^32) I has norm 1.2 at z = -1, but z^32 is one constant on
+    # 32 points of a ring, so a fixed 32-point grid read 0.019 and admitted it
+    f = Polynomial([0.6 * np.eye(2), *[np.zeros((2, 2))] * 31, -0.6 * np.eye(2)])
+    with pytest.raises(HypothesisViolated, match="thm1 hypotheses fail: grid_norm_max"):
+        require_hypotheses(f, "thm1")
+    path = tmp_path / "alias32.json"
+    save_function_file(path, FunctionFile(f, "polynomial"))
+    for argv in (["radius", str(path)], ["proofcheck", str(path), "--steps", "eq12"]):
+        assert main(argv) == EXIT_ERROR
+        assert "thm1 hypotheses fail: grid_norm_max" in capsys.readouterr().err
+    # verify runs a polynomial file ungated by design
+    assert main(["verify", str(path), "--r", "0.4"]) != EXIT_ERROR
 
 
 def test_proofcheck_transfer_uses_the_norm_step(cli_files, tmp_path):

@@ -17,6 +17,7 @@ from bohrlab.linalg import (
     identity,
     is_normal,
     loewner_leq,
+    normal_defect,
     operator_norm,
     psd_sqrt,
     random_hermitian,
@@ -159,13 +160,9 @@ def test_loewner_tol_scales_with_norms():
     assert default_loewner_tol(A, B) >= 1e-9 * 1e6
 
 
-def test_loewner_rejects_shape_mismatch_and_bad_tol():
+def test_loewner_rejects_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         loewner_leq(identity(2), identity(3))
-    with pytest.raises(ValueError):
-        loewner_leq(identity(2), identity(2), tol=0.0)
-    with pytest.raises(ValueError):
-        loewner_leq(identity(2), identity(2), tol=float("nan"))
 
 
 def test_commutator_norm_and_is_normal():
@@ -174,6 +171,20 @@ def test_commutator_norm_and_is_normal():
     assert commutator_norm(X, X.T) > 0.5
     assert is_normal(np.diag([1.0, 2.0j]))
     assert not is_normal(X)
+
+
+def test_is_normal_is_the_normal_defect_at_1e_10():
+    X = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
+    D = np.diag([0.5, -0.25j])
+    Q = random_unitary(2, 3)
+    cases = [D, Q @ D @ Q.conj().T, X, 2.0 * X + D]
+    # near-normal: the defect of D + eps X grows like eps, so these straddle 1e-10
+    cases += [D + eps * X for eps in (1e-12, 1e-11, 5e-11, 1e-10, 2e-10, 1e-9, 1e-6)]
+    defects = [normal_defect(A) for A in cases]
+    assert any(d <= 1e-10 for d in defects) and any(d > 1e-10 for d in defects)
+    for A, d in zip(cases, defects):
+        assert is_normal(A) == (d <= 1e-10)
+    assert normal_defect(X) == pytest.approx(np.sqrt(2.0) / 2.0)
 
 
 def test_random_unitary_is_unitary_and_seeded():
