@@ -43,12 +43,12 @@ from .linalg import (
 )
 from .functions import (
     HYPOTHESIS_TOL,
-    LIFT_ROWS,
     CoefficientSeries,
     HalfPlaneLift,
     MobiusLift,
     OperatorFunction,
     Polynomial,
+    _convert,
     certified_sup,
     generate_thm1_instance,
     hypothesis_check,
@@ -114,20 +114,6 @@ def majorant(series: CoefficientSeries, r: float):
     return partial, _tail(series.tail_norm_bound, r, series.order)
 
 
-def _convert(coeffs: list) -> list:
-    """|A_n| of coeffs as a list of stacks, one batched abs_operator call
-    per LIFT_ROWS matrices.
-
-    Empties coeffs as it goes, so that each coefficient the list alone
-    holds is freed once converted.
-    """
-    blocks = []
-    while coeffs:
-        blocks.append(abs_operator(np.stack(coeffs[:LIFT_ROWS])))
-        del coeffs[:LIFT_ROWS]
-    return blocks
-
-
 def _terms(blocks, last: int):
     """T_0, ..., T_last of stacks that hold T_0, T_1, ... in n order."""
     return itertools.islice(itertools.chain.from_iterable(blocks), last + 1)
@@ -163,8 +149,8 @@ def _tail(c: float, r: float, N: int) -> float:
 def _abs_stacks(f: OperatorFunction, n: int) -> list:
     """|A_0|, |A_1|, ... of f as stacks in n order, covering at least n.
 
-    The list is kept on f and grown to the rung covering n, generating and
-    converting only the coefficients it lacks. It is replaced, not grown in place,
+    The list is kept on f and grown to the rung covering n by f.abs_terms,
+    over only the indices it lacks. It is replaced, not grown in place,
     so that a reader in another thread keeps a whole list, and it holds no
     reference back to f, so that f is freed without the cyclic collector.
     Caching is sound because functions and their arrays are immutable.
@@ -173,7 +159,7 @@ def _abs_stacks(f: OperatorFunction, n: int) -> list:
     have = sum(map(len, stacks))
     if have <= n:
         N = max(INITIAL_N, 1 << (n - 1).bit_length())  # the rung covering n
-        stacks = f._abs_stacks = stacks + _convert(list(f.terms(have, N)))
+        stacks = f._abs_stacks = stacks + f.abs_terms(have, N)
     return stacks
 
 

@@ -28,6 +28,7 @@ from .errors import (
     OutsideDomain,
 )
 from .linalg import (
+    abs_operator,
     as_matrix,
     commutator_norm,
     frobenius,
@@ -47,7 +48,23 @@ HYPOTHESIS_TOL = 1e-8
 HYPOTHESIS_GRID = 32
 HYPOTHESIS_RADIUS = 0.999
 COMMUTATION_ORDER = 32     # coefficients checked for commutation with A_0 (a polynomial: all)
-LIFT_ROWS = 64             # rows per stack of MobiusLift.terms and of checks._convert, so each is freed once converted
+LIFT_ROWS = 64             # rows per stack of MobiusLift.terms and of every abs_terms, so each is freed once converted
+
+
+def _convert(coeffs: list) -> list:
+    """|A_n| of coeffs as a list of stacks, one batched abs_operator call per
+    LIFT_ROWS matrices. Empties coeffs as it goes, so that each coefficient
+    the list alone holds is freed once converted."""
+    blocks = []
+    while coeffs:
+        blocks.append(abs_operator(np.stack(coeffs[:LIFT_ROWS])))
+        del coeffs[:LIFT_ROWS]
+    return blocks
+
+
+def _row_blocks(rows: np.ndarray):
+    """rows in consecutive slices of LIFT_ROWS, the last possibly shorter."""
+    return (rows[k : k + LIFT_ROWS] for k in range(0, len(rows), LIFT_ROWS))
 
 
 def _check_range(first: int, last: int) -> None:
@@ -182,6 +199,11 @@ class OperatorFunction:
         """A_first, ..., A_last by the class's formula; ValueError unless 0 <= first <= last."""
         raise NotImplementedError
 
+    def abs_terms(self, first: int, last: int) -> list:
+        """|A_first|, ..., |A_last| as stacks of at most LIFT_ROWS matrices; by default psd_sqrt(A*A) of
+        terms (drops s < ~1e-6 ||A_n||), kept for the digests it pins until ROADMAP item 10's SVD route."""
+        return _convert(list(self.terms(first, last)))
+
     def tail_bound(self, N: int) -> float:
         """A bound on ||A_n|| for every n > N >= 0 that generates no coefficient."""
         raise NotImplementedError
@@ -229,6 +251,16 @@ class Polynomial(OperatorFunction):
         _check_range(first, last)
         zero = np.zeros((self.dim, self.dim), dtype=np.complex128)
         return self.coeffs[first : last + 1] + (zero,) * (last + 1 - max(first, len(self.coeffs)))
+
+    def abs_terms(self, first: int, last: int) -> list:
+        """|A_n| = V* diag(s) V by one batched SVD A_n = U diag(s) V of the stored A_n in
+        [first, last], zero beyond the degree: within a small multiple of eps ||A_n|| of
+        |A_n| however small s_min (Higham, SIAM J. Sci. Stat. Comput. 7, 1986)."""
+        _check_range(first, last)
+        out = np.zeros((last + 1 - first, self.dim, self.dim), dtype=np.complex128)
+        _, s, Vh = np.linalg.svd(np.reshape(self.coeffs[first : last + 1], (-1, self.dim, self.dim)))
+        out[: len(s)] = hermitian_part((Vh.conj().swapaxes(-1, -2) * s[:, None, :]) @ Vh)
+        return list(_row_blocks(out))
 
     def tail_bound(self, N: int) -> float:
         return max((operator_norm(c) for c in self.coeffs[N + 1:]), default=0.0)
@@ -281,9 +313,7 @@ class MobiusLift(OperatorFunction):
 
     def terms(self, first: int, last: int) -> tuple:
         """Lifts of the channel series, LIFT_ROWS coefficients per stack."""
-        vals = self._series(first, last)
-        blocks = (vals[k : k + LIFT_ROWS] for k in range(0, len(vals), LIFT_ROWS))
-        return tuple(A for block in blocks for A in _lift(self.basis, block))
+        return tuple(A for block in _row_blocks(self._series(first, last)) for A in _lift(self.basis, block))
 
     def _series(self, first: int, last: int) -> np.ndarray:
         """The (last - first + 1, d) channel values of A_first .. A_last: lambda_i at
@@ -410,6 +440,15 @@ class HalfPlaneLift(OperatorFunction):
         gap = identity(self.dim) - A0
         later = (gap * (-2.0 * self.t * self.beta ** (n - 1)) for n in range(max(first, 1), last + 1))
         return ((A0,) if first == 0 else ()) + tuple(later)
+
+    def abs_terms(self, first: int, last: int) -> list:
+        """|A_n| with no decomposition: I - A_0 >= 0 gives |A_0| = A_0 and
+        |A_n| = 2t |beta|^(n-1) (I - A_0), the lifts of the channel values
+        c_0 = d and c_n = 2t |beta|^(n-1) (1 - d)."""
+        _check_range(first, last)
+        n = np.arange(first, last + 1)[:, None]
+        vals = np.where(n == 0, self.diag, 2.0 * self.t * abs(self.beta) ** np.maximum(n - 1, 0) * (1.0 - self.diag))
+        return [hermitian_part(_lift(self.basis, block)) for block in _row_blocks(vals)]
 
     def tail_bound(self, N: int) -> float:
         return 2.0 * operator_norm(identity(self.dim) - self.a0()) * abs(self.beta) ** N
@@ -561,18 +600,11 @@ def certified_sup(f: Polynomial) -> tuple[float, complex]:
     """
     if not isinstance(f, Polynomial):
         raise HypothesisViolated("sup certification works on polynomials only")
-    norms, points = _circle_norms(f)
+    points = _read_points(f)
+    norms = np.linalg.norm(f._values(points), 2, axis=(1, 2))
     k = int(np.argmax(norms))
     bound = float(norms[k] / (1.0 - np.pi * f.degree / len(points)))
     return bound, complex(points[k])
-
-
-def _circle_norms(f: Polynomial) -> tuple[np.ndarray, np.ndarray]:
-    """||f(w)|| at the M = 64 (d + 1) roots of unity w, and those w. As M > d,
-    no term z^n of f is constant on them, as z^32 is on 32 points of a circle."""
-    M = 64 * (f.degree + 1)
-    points = np.exp(1j * (2.0 * np.pi * np.arange(M) / M))
-    return np.linalg.norm(f._values(points), 2, axis=(1, 2)), points
 
 
 # ---------------------------------------------------------------------------
@@ -641,19 +673,30 @@ def hypothesis_grid() -> np.ndarray:
     return HYPOTHESIS_RADIUS * np.exp(2j * np.pi * np.arange(HYPOTHESIS_GRID) / HYPOTHESIS_GRID)
 
 
+def _read_points(f: OperatorFunction) -> np.ndarray:
+    """Where f is read for its sup and hypotheses (its normality at HYPOTHESIS_RADIUS times these): a
+    Polynomial at the M = 64 (d + 1) roots of unity, on which, as M > d, no term z^n is constant, as
+    z^32 is on 32 points of a circle; any other f on hypothesis_grid()."""
+    if not isinstance(f, Polynomial):
+        return hypothesis_grid()
+    M = 64 * (f.degree + 1)
+    return np.exp(1j * (2.0 * np.pi * np.arange(M) / M))
+
+
 def hypothesis_check(f: OperatorFunction, klass: str) -> HypothesisReport:
     """Report-only certification of the hypothesis class of ``f``."""
     if klass not in HYPOTHESIS_CLASSES:
         raise ValueError(f"unknown hypothesis class {klass!r}")
     A0, *later = f.terms(0, max(COMMUTATION_ORDER, getattr(f, "degree", 0)))
     fields = {}
+    points = _read_points(f)
+    values = f._values(points)
     if klass == "thm2":
-        values = f.sample(hypothesis_grid()).values
         eye = identity(f.dim)
-        fields["grid_re_excess"] = max(
-            float(hermitian_eigen(hermitian_part(v) - eye).eigenvalues[-1]) for v in values
-        )
-        fields["grid_normality_defect"] = max(normal_defect(v) for v in values)
+        fields["grid_re_excess"] = float(hermitian_eigen(hermitian_part(values) - eye).eigenvalues[:, -1].max())
+        # normality has no maximum principle: 0.3 I + 0.5 z E12 + 0.5 z^2 E21 is normal on |z| = 1 only
+        inside = f._values(HYPOTHESIS_RADIUS * points) if isinstance(f, Polynomial) else values
+        fields["grid_normality_defect"] = max(normal_defect(v) for v in inside)
         # A_0 >= 0 needs A_0 Hermitian; the skew part eats into the reported
         # smallest eigenvalue so a non-Hermitian A_0 cannot slip through.
         herm0 = hermitian_part(A0)
@@ -661,11 +704,7 @@ def hypothesis_check(f: OperatorFunction, klass: str) -> HypothesisReport:
         fields["a0_min_eigenvalue"] = float(a0_eigs[0]) - operator_norm(A0 - herm0)
         fields["a0_norm"] = operator_norm(A0)
     else:
-        if isinstance(f, Polynomial):
-            norms = _circle_norms(f)[0]
-        else:
-            norms = np.linalg.norm(f.sample(hypothesis_grid()).values, 2, axis=(1, 2))
-        fields["grid_norm_max"] = float(norms.max())
+        fields["grid_norm_max"] = float(np.linalg.norm(values, 2, axis=(1, 2)).max())
         if klass == "cor2":
             a0_scalar = np.trace(A0) / f.dim
             fields["a0_scalar_defect"] = operator_norm(A0 - a0_scalar * identity(f.dim))

@@ -215,16 +215,16 @@ def test_threads_sharing_one_function_get_the_verdicts_of_a_fresh_one():
     assert got == [expected[r] for r in radii]
 
 
-def _count_ranges(f) -> list:
-    """Record the (first, last) of every f.terms call from now on."""
+def _count_ranges(f, method: str = "terms") -> list:
+    """Record the (first, last) of every call of f's method from now on."""
     ranges = []
-    generate = f.terms
+    generate = getattr(f, method)
 
     def counting(first, last):
         ranges.append((first, last))
         return generate(first, last)
 
-    f.terms = counting
+    setattr(f, method, counting)
     return ranges
 
 
@@ -235,6 +235,15 @@ def _each_index_built_once(ranges) -> bool:
     return bool(grown) and grown[0][0] == 0 and all(
         later[0] == earlier[1] + 1 for earlier, later in zip(grown, grown[1:])
     )
+
+
+def test_a_singular_value_below_the_gram_clamp_counts():
+    # the Gram route dropped the 5e-7 of |A_1| = diag(0.9, 5e-7) and read HOLDS
+    # at -2.0e-7; the exact majorant at r = 0.5 is diag(0.45, 1 + 5e-8)
+    f = Polynomial([np.diag([0.0, 1.0 - 2e-7]), np.diag([0.9, 5e-7])])
+    verdict = check_bohr(f, 0.5)
+    assert verdict.status is Status.VIOLATED
+    assert abs(verdict.lhs_extreme - 5e-8) <= 1e-12
 
 
 def test_bisection_generates_each_rung_once():
@@ -248,8 +257,9 @@ def test_bisection_generates_each_rung_once():
     proof_step_validate(f, "eq10", k=20)
     proof_step_validate(f, "eq12", r=0.9)
     coefficient_bound_eq14(f)
+    # a HalfPlaneLift grows its stacks by its own abs_terms, not by terms
     g = generate_thm2_instance(3, seed=8)
-    g_ranges = _count_ranges(g)
+    g_ranges = _count_ranges(g, "abs_terms")
     for r in (0.5, 0.95):
         check_thm2_bounds(g, r)
         proof_step_validate(g, "eq2", r=r)
@@ -287,8 +297,8 @@ def test_stacks_grown_by_bisection_have_the_bytes_of_one_fresh_series(name):
     warm = WARMED[name]()
     empirical_bohr_radius(warm)
     grown = [T.tobytes() for stack in warm._abs_stacks for T in stack]
-    coeffs = WARMED[name]().coefficients(len(grown) - 1).coeffs
-    fresh = [abs_operator(np.stack(coeffs[i : i + LIFT_ROWS])) for i in range(0, len(coeffs), LIFT_ROWS)]
+    fresh = WARMED[name]().abs_terms(0, len(grown) - 1)
+    assert all(len(stack) <= LIFT_ROWS for stack in fresh)
     assert grown == [T.tobytes() for stack in fresh for T in stack]
 
 

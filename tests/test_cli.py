@@ -16,7 +16,7 @@ from bohrlab.checks import MAX_N, require_hypotheses
 from bohrlab.cli import _config_hash, build_parser, effective_config, main
 from bohrlab.errors import HypothesisViolated
 from bohrlab.fileio import FunctionFile, canonical_dumps, save_function_file
-from bohrlab.functions import HalfPlaneLift, Polynomial
+from bohrlab.functions import HalfPlaneLift, Polynomial, hypothesis_check
 
 EXIT_OK, EXIT_ERROR, EXIT_VIOLATED, EXIT_INCONCLUSIVE, EXIT_WITNESS = 0, 1, 2, 3, 4
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -235,6 +235,33 @@ def test_thm1_commands_gate_a_polynomial_on_its_sup_norm(tmp_path, capsys):
         assert "thm1 hypotheses fail: grid_norm_max" in capsys.readouterr().err
     # verify runs a polynomial file ungated by design
     assert main(["verify", str(path), "--r", "0.4"]) != EXIT_ERROR
+
+
+def test_thm2_commands_gate_a_polynomial_on_its_real_part(tmp_path, capsys):
+    # Re f = 0.6 (1 - Re z^32) I reaches 1.2 I on the unit circle, but the
+    # fixed 32-point grid read lambda_max(Re f) - 1 = -0.98 and admitted it
+    f = Polynomial([0.6 * np.eye(2), *[np.zeros((2, 2))] * 31, -0.6 * np.eye(2)])
+    assert abs(hypothesis_check(f, "thm2").grid_re_excess - 0.2) <= 1e-12
+    with pytest.raises(HypothesisViolated, match="thm2 hypotheses fail: grid_re_excess$"):
+        require_hypotheses(f, "thm2")
+    path = tmp_path / "alias32.json"
+    save_function_file(path, FunctionFile(f, "polynomial"))
+    assert main(["proofcheck", str(path), "--steps", "eq2"]) == EXIT_ERROR
+    assert "thm2 hypotheses fail: grid_re_excess" in capsys.readouterr().err
+    # f = z I has Re f <= I on the closed disk, with equality at z = 1
+    zi = Polynomial([np.zeros((2, 2)), np.eye(2)])
+    assert abs(hypothesis_check(zi, "thm2").grid_re_excess) <= 1e-15
+    require_hypotheses(zi, "thm2")
+
+
+def test_thm2_gate_reads_a_polynomial_s_normality_inside_the_disk():
+    # f f* - f* f = 0.25 (|z|^2 - |z|^4) diag(1, -1): f is normal on |z| = 1
+    # only, though A_0 is scalar and ||f|| <= 0.8
+    E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    f = Polynomial([0.3 * np.eye(2), 0.5 * E12, 0.5 * E12.T])
+    assert hypothesis_check(f, "thm2").grid_normality_defect > 1e-4
+    with pytest.raises(HypothesisViolated, match="thm2 hypotheses fail: grid_normality_defect$"):
+        require_hypotheses(f, "thm2")
 
 
 def test_proofcheck_transfer_uses_the_norm_step(cli_files, tmp_path):

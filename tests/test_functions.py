@@ -35,7 +35,7 @@ from bohrlab.functions import (
     reconstruct_from_transform,
     schur_transform,
 )
-from bohrlab.linalg import frobenius, identity, operator_norm, random_unitary
+from bohrlab.linalg import abs_operator, frobenius, identity, operator_norm, random_unitary
 
 
 def _scaled_polynomial(dim: int, degree: int, seed: int) -> Polynomial:
@@ -485,6 +485,62 @@ def test_halfplane_coefficients_closed_form():
         target = gap * (-2.0 * f.t * f.beta ** (n - 1))
         assert frobenius(s.coeffs[n] - target) <= 1e-13
     assert s.tail_norm_bound <= 2.0 * operator_norm(gap) * abs(f.beta) ** 5 + 1e-15
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+@pytest.mark.parametrize("beta, t", [(0.55 - 0.3j, 0.2), (0.9, 0.05), (0.0, 0.35), (0.4j, 0.0)])
+def test_halfplane_abs_terms_are_the_closed_form(dim, beta, t):
+    # |A_n| = 2t |beta|^(n-1) (I - A_0), |A_0| = A_0: within 1e-14 (1 + ||A_n||)
+    # of that formula, and within 1e-12 of the Gram route, whose clamp drops
+    # nothing here since every channel keeps 1 - d_i >= 1e-3
+    rng = np.random.default_rng(dim)
+    f = HalfPlaneLift(random_unitary(dim, dim), rng.uniform(0.0, 0.999, dim), t, beta)
+    stacks = f.abs_terms(0, 130)
+    assert [len(stack) for stack in stacks] == [LIFT_ROWS, LIFT_ROWS, 3]
+    got = np.concatenate(stacks)
+    gram = abs_operator(np.stack(f.terms(0, 130)))
+    gap = identity(dim) - f.a0()
+    for n, T in enumerate(got):
+        exact = f.a0() if n == 0 else 2.0 * t * abs(beta) ** (n - 1) * gap
+        scale = 1.0 + operator_norm(exact)
+        assert np.array_equal(T, T.conj().T)
+        assert operator_norm(T - exact) <= 1e-14 * scale
+        assert operator_norm(T - gram[n]) <= 1e-12 * scale
+    assert np.array_equal(np.concatenate(f.abs_terms(5, 70)), got[5:71])
+
+
+def _mp_abs(mpmath, A: np.ndarray) -> np.ndarray:
+    """|A| to 40 digits: the square root of A*A by mpmath's Hermitian eigensolver."""
+    with mpmath.workdps(40):
+        M = mpmath.matrix(A.tolist())
+        E, Q = mpmath.eighe(M.H * M)
+        S = Q * mpmath.diag([mpmath.sqrt(max(e, 0)) for e in E]) * Q.H
+        return np.array([[complex(S[i, j]) for j in range(S.cols)] for i in range(S.rows)])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_polynomial_abs_terms_keep_singular_values_the_gram_route_drops(dim):
+    # ||A|| in [2, 4] and s_min / ||A|| in {1e-7, 1e-8, 1e-9}: s_min^2 falls
+    # under psd_sqrt's 1e-12 clamp, so the Gram route is off by s_min > 1e-9
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(40 + dim)
+    coeffs = []
+    for ratio in (1e-7, 1e-8, 1e-9):
+        s = rng.uniform(2.0, 4.0) * np.concatenate(([1.0], rng.uniform(0.1, 1.0, dim - 2), [ratio]))
+        U, V = (random_unitary(dim, int(seed)) for seed in rng.integers(1 << 30, size=2))
+        coeffs.append((U * s) @ V.conj().T)
+    f = Polynomial(coeffs)
+    stacks = f.abs_terms(0, 130)
+    assert [len(stack) for stack in stacks] == [LIFT_ROWS, LIFT_ROWS, 3]
+    got = np.concatenate(stacks)
+    assert not got[3:].any()
+    gram = abs_operator(np.stack(f.coeffs))
+    for A, T, G in zip(f.coeffs, got, gram):
+        exact = _mp_abs(mpmath, A)
+        assert np.array_equal(T, T.conj().T)
+        assert operator_norm(T - exact) <= 1e-14 * (1.0 + operator_norm(A))
+        assert operator_norm(G - exact) > 1e-9
+    assert np.array_equal(np.concatenate(f.abs_terms(2, 70)), got[2:71])
 
 
 def test_halfplane_evaluation_uses_the_symbol():
