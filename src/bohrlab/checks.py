@@ -12,7 +12,6 @@ tokens; each one's meaning is spelled out in `proof_step_validate`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,6 +28,7 @@ from .linalg import (
     LoewnerVerdict,
     Order,
     abs_operator,
+    abs_svd,
     as_matrix,
     commutator_norm,
     hermitian_eigen,
@@ -43,12 +43,13 @@ from .linalg import (
 )
 from .functions import (
     HYPOTHESIS_TOL,
+    LIFT_ROWS,
     CoefficientSeries,
     HalfPlaneLift,
     MobiusLift,
     OperatorFunction,
     Polynomial,
-    _convert,
+    _index,
     certified_sup,
     generate_thm1_instance,
     hypothesis_check,
@@ -100,8 +101,8 @@ class BohrVerdict:
 
 
 def majorant(series: CoefficientSeries, r: float):
-    """Partial sum of |A_n| r^n over the whole stored series, plus the
-    certified scalar tail.
+    """Partial sum of |A_n| r^n over the whole stored series, with |A_n| by
+    abs_svd, plus the certified scalar tail.
 
     The tail bounds the operator norm of everything beyond the stored
     order: tail_norm_bound * r^(order+1) / (1 - r).
@@ -110,34 +111,20 @@ def majorant(series: CoefficientSeries, r: float):
         raise OutsideDomain("majorant needs 0 <= r < 1")
     if not all(np.all(np.isfinite(A)) for A in series.coeffs):
         raise ValueError("series coefficients must be finite")
-    partial = _sum(_convert(list(series.coeffs)), r, 0, series.order, series.dim)
+    partial = _sum(abs_svd(np.stack(series.coeffs)), r, 0, series.order)
     return partial, _tail(series.tail_norm_bound, r, series.order)
 
 
-def _terms(blocks, last: int):
-    """T_0, ..., T_last of stacks that hold T_0, T_1, ... in n order."""
-    return itertools.islice(itertools.chain.from_iterable(blocks), last + 1)
-
-
-def _sum(blocks, r: float, first: int, last: int, dim: int) -> np.ndarray:
-    """Hermitian part of sum_{first <= n <= last} T_n r^n, summed in n order.
-
-    blocks is an iterable of stacks of T_0, T_1, ..., read no further than
-    the stack that holds T_last. np.add.accumulate adds in n order, giving
-    the bytes of partial += T_n * r**n; reduce, BLAS or np.power would not.
-    """
-    partial = np.zeros((dim, dim), dtype=np.complex128)
-    start = 0
-    for stack in blocks:
-        lo, hi = max(first, start), min(last + 1, start + len(stack))
-        if lo < hi:
-            # Python r**n keeps the bench digests of the campaign verify artifacts and of every transfer verdict
-            x = stack[lo - start : hi - start] * np.array([r**n for n in range(lo, hi)])[:, None, None]
-            x[0] += partial
-            partial = np.add.accumulate(x, axis=0, out=x)[-1]
-        start += len(stack)
-        if start > last:
-            break
+def _sum(T: np.ndarray, r: float, first: int, last: int) -> np.ndarray:
+    """Hermitian part of sum_{first <= n <= last} T_n r^n, summed in n order LIFT_ROWS rows at a time:
+    np.add.accumulate gives the bytes of partial += T_n * r**n; reduce, BLAS or np.power would not."""
+    partial = np.zeros(T.shape[1:], dtype=np.complex128)
+    for lo in range(first, last + 1, LIFT_ROWS):
+        hi = min(lo + LIFT_ROWS, last + 1)
+        # Python r**n keeps the bench digests of the campaign verify artifacts and of every transfer verdict
+        x = T[lo:hi] * np.array([r**n for n in range(lo, hi)])[:, None, None]
+        x[0] += partial
+        partial = np.add.accumulate(x, axis=0, out=x)[-1]
     return hermitian_part(partial)
 
 
@@ -146,21 +133,21 @@ def _tail(c: float, r: float, N: int) -> float:
     return c * r ** (N + 1) / (1.0 - r)
 
 
-def _abs_stacks(f: OperatorFunction, n: int) -> list:
-    """|A_0|, |A_1|, ... of f as stacks in n order, covering at least n.
+def _abs_store(f: OperatorFunction, n: int) -> np.ndarray:
+    """The (N + 1, d, d) array |A_0|, ..., |A_N| of f, for a rung N >= n.
 
-    The list is kept on f and grown to the rung covering n by f.abs_terms,
-    over only the indices it lacks. It is replaced, not grown in place,
-    so that a reader in another thread keeps a whole list, and it holds no
-    reference back to f, so that f is freed without the cyclic collector.
-    Caching is sound because functions and their arrays are immutable.
+    It is kept on f and grown to the rung covering n by f.abs_terms, over
+    only the indices it lacks. It is replaced by np.concatenate, not grown
+    in place, so that a reader in another thread keeps a whole array, and it
+    holds no reference back to f, so that f is freed without the cyclic
+    collector. Caching is sound because functions and arrays are immutable.
     """
-    stacks = f.__dict__.get("_abs_stacks", [])
-    have = sum(map(len, stacks))
-    if have <= n:
+    T = f.__dict__.get("_abs_store", ())
+    if len(T) <= n:
         N = max(INITIAL_N, 1 << (n - 1).bit_length())  # the rung covering n
-        stacks = f._abs_stacks = stacks + f.abs_terms(have, N)
-    return stacks
+        new = f.abs_terms(len(T), N)
+        T = f._abs_store = np.concatenate((T, new)) if len(T) else new
+    return T
 
 
 def _adaptive_bohr(f: OperatorFunction, r: float, rhs: np.ndarray, tol: float) -> BohrVerdict:
@@ -172,7 +159,7 @@ def _adaptive_bohr(f: OperatorFunction, r: float, rhs: np.ndarray, tol: float) -
     if not 0.0 <= tol < np.inf:
         raise ValueError("tol must be finite and >= 0")
     for N in RUNGS:
-        eig = hermitian_eigen(_sum(_abs_stacks(f, N), r, 0, N, f.dim) - rhs)
+        eig = hermitian_eigen(_sum(_abs_store(f, N), r, 0, N) - rhs)
         extreme = float(eig.eigenvalues[-1])
         tail = _tail(f.tail_bound(N), r, N)
         if extreme > tol:
@@ -460,13 +447,9 @@ def _series_loewner(
         tail = _tail(c * c if squared else c, r, N)
         if tail <= SERIES_TAIL_TARGET:
             break
-    blocks = _abs_stacks(f, N)
-    if squared:
-        # squared one stack at a time, as the sum reads it
-        blocks = (T @ T for T in blocks)
-    dim = len(rhs)
-    partial = _sum(blocks, r, first, N, dim)
-    padded = loewner_leq(partial + tail * identity(dim), rhs)
+    T = _abs_store(f, N)[: N + 1]
+    partial = _sum(T @ T if squared else T, r, first, N)
+    padded = loewner_leq(partial + tail * identity(len(rhs)), rhs)
     if padded.relation is Order.LESS_OR_EQUAL:
         return padded
     raw = loewner_leq(partial, rhs)
@@ -537,8 +520,7 @@ def _validate_step(
         return ProofStepReport(step, float(len(samples)), verdict, worst_z)
 
     if spec.param == "k":
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        k = _index(k, "k", 1)
         A0 = f.coefficient0()
         P = hermitian_part(A0.conj().T @ A0)
         S = _powers_sum(P, k)
@@ -547,8 +529,7 @@ def _validate_step(
             lhs = hermitian_part(sum(A.conj().T @ A for A in f.terms(1, k)))
             rhs = hermitian_part(gap2 @ gap2 @ S)
         else:
-            absA = _terms(_abs_stacks(f, k), k)
-            absA0 = next(absA)
+            absA0, *absA = _abs_store(f, k)[: k + 1]
             lhs = np.zeros((dim, dim), dtype=np.complex128)
             power = absA0.copy()
             for T in absA:
@@ -563,13 +544,13 @@ def _validate_step(
             raise DomainError("r must lie in [0, 1)")
         first, squared = 1, False
         if step is ProofStep.EQ11:
-            absA0 = _abs_stacks(f, 0)[0][0]
+            absA0 = _abs_store(f, 0)[0]
             if not loewner_leq(r * eye, absA0).holds:
                 raise StepNotApplicable("rI <= |A_0| fails; step not applicable")
             gap2 = hermitian_part(eye - absA0 @ absA0)
             rhs = hermitian_part(r * gap2 @ np.linalg.inv(eye - r * absA0))
         elif step is ProofStep.EQ12:
-            absA0 = _abs_stacks(f, 0)[0][0]
+            absA0 = _abs_store(f, 0)[0]
             rhs = psd_sqrt(eye - absA0 @ absA0) * (r / np.sqrt(1.0 - r * r))
         elif step is ProofStep.EQ2:
             gap = hermitian_part(eye - f.coefficient0())
@@ -588,8 +569,7 @@ def _validate_step(
 def _eq14_chain(f: OperatorFunction, max_n: int) -> list[ProofStepReport]:
     """|A_n| <= I - |A_0|^2 <= 2(I - |A_0|) as one chained verdict for each
     n = 1..max_n; the second link does not depend on n."""
-    absA = _terms(_abs_stacks(f, max_n), max_n)
-    absA0 = next(absA)
+    absA0, *absA = _abs_store(f, max_n)[: max_n + 1]
     eye = identity(f.dim)
     mid = hermitian_part(eye - absA0 @ absA0)
     upper = hermitian_part(2.0 * (eye - absA0))
@@ -606,8 +586,7 @@ def coefficient_bound_eq14(f: OperatorFunction, max_n: int = 32) -> list[ProofSt
 
     The report for n = 1 is the one proof_step_validate gives for eq14.
     """
-    if not max_n >= 1:
-        raise ValueError("max_n must be >= 1")
+    max_n = _index(max_n, "max_n", 1)
     require_hypotheses(f, STEPS[ProofStep.EQ14].family)
     return _eq14_chain(f, max_n)
 
@@ -820,7 +799,7 @@ def counterexample_search(
         if f is None:
             skipped += 1
             continue
-        radius = _radius_from_abs(_abs_stacks(f, 0)[0][0])
+        radius = _radius_from_abs(_abs_store(f, 0)[0])
         verdict = check_bohr(f, radius.value)
         if verdict.status is Status.VIOLATED:
             witness = SearchWitness(trial, f, radius.value, radius.branch, verdict)

@@ -15,6 +15,7 @@ or certified Taylor coefficients:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
 )
 from .linalg import (
     abs_operator,
+    abs_svd,
     as_matrix,
     commutator_norm,
     frobenius,
@@ -48,18 +50,7 @@ HYPOTHESIS_TOL = 1e-8
 HYPOTHESIS_GRID = 32
 HYPOTHESIS_RADIUS = 0.999
 COMMUTATION_ORDER = 32     # coefficients checked for commutation with A_0 (a polynomial: all)
-LIFT_ROWS = 64             # rows per stack of MobiusLift.terms and of every abs_terms, so each is freed once converted
-
-
-def _convert(coeffs: list) -> list:
-    """|A_n| of coeffs as a list of stacks, one batched abs_operator call per
-    LIFT_ROWS matrices. Empties coeffs as it goes, so that each coefficient
-    the list alone holds is freed once converted."""
-    blocks = []
-    while coeffs:
-        blocks.append(abs_operator(np.stack(coeffs[:LIFT_ROWS])))
-        del coeffs[:LIFT_ROWS]
-    return blocks
+LIFT_ROWS = 64             # rows per block of a lift, an |A_n| conversion or a majorant sum, so no temporary outgrows one
 
 
 def _row_blocks(rows: np.ndarray):
@@ -70,6 +61,17 @@ def _row_blocks(rows: np.ndarray):
 def _check_range(first: int, last: int) -> None:
     if not 0 <= first <= last:
         raise ValueError(f"terms needs 0 <= first <= last, got ({first}, {last})")
+
+
+def _index(value, name: str, least: int) -> int:
+    """value as an int >= least by operator.index; ValueError for a bool, a non-integer or a smaller value."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if type(value) is bool or n is None or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return n
 
 
 def _disk_points(points) -> np.ndarray:
@@ -199,10 +201,16 @@ class OperatorFunction:
         """A_first, ..., A_last by the class's formula; ValueError unless 0 <= first <= last."""
         raise NotImplementedError
 
-    def abs_terms(self, first: int, last: int) -> list:
-        """|A_first|, ..., |A_last| as stacks of at most LIFT_ROWS matrices; by default psd_sqrt(A*A) of
-        terms (drops s < ~1e-6 ||A_n||), kept for the digests it pins until ROADMAP item 10's SVD route."""
-        return _convert(list(self.terms(first, last)))
+    def abs_terms(self, first: int, last: int) -> np.ndarray:
+        """The (last - first + 1, d, d) array |A_first|, ..., |A_last|. By default psd_sqrt(A*A) of terms,
+        LIFT_ROWS at a time, each block of terms dropped once converted (drops s < ~1e-6 ||A_n||; kept
+        for the digests it pins until ROADMAP item 10's SVD route)."""
+        coeffs = list(self.terms(first, last))
+        out = np.empty((len(coeffs), self.dim, self.dim), dtype=np.complex128)
+        for block in _row_blocks(out):
+            block[...] = abs_operator(np.stack(coeffs[:LIFT_ROWS]))
+            del coeffs[:LIFT_ROWS]
+        return out
 
     def tail_bound(self, N: int) -> float:
         """A bound on ||A_n|| for every n > N >= 0 that generates no coefficient."""
@@ -252,15 +260,13 @@ class Polynomial(OperatorFunction):
         zero = np.zeros((self.dim, self.dim), dtype=np.complex128)
         return self.coeffs[first : last + 1] + (zero,) * (last + 1 - max(first, len(self.coeffs)))
 
-    def abs_terms(self, first: int, last: int) -> list:
-        """|A_n| = V* diag(s) V by one batched SVD A_n = U diag(s) V of the stored A_n in
-        [first, last], zero beyond the degree: within a small multiple of eps ||A_n|| of
-        |A_n| however small s_min (Higham, SIAM J. Sci. Stat. Comput. 7, 1986)."""
+    def abs_terms(self, first: int, last: int) -> np.ndarray:
+        """|A_n| by one batched abs_svd of the stored A_n in [first, last], zero beyond the degree."""
         _check_range(first, last)
         out = np.zeros((last + 1 - first, self.dim, self.dim), dtype=np.complex128)
-        _, s, Vh = np.linalg.svd(np.reshape(self.coeffs[first : last + 1], (-1, self.dim, self.dim)))
-        out[: len(s)] = hermitian_part((Vh.conj().swapaxes(-1, -2) * s[:, None, :]) @ Vh)
-        return list(_row_blocks(out))
+        stored = np.reshape(self.coeffs[first : last + 1], (-1, self.dim, self.dim))
+        out[: len(stored)] = abs_svd(stored)
+        return out
 
     def tail_bound(self, N: int) -> float:
         return max((operator_norm(c) for c in self.coeffs[N + 1:]), default=0.0)
@@ -441,14 +447,17 @@ class HalfPlaneLift(OperatorFunction):
         later = (gap * (-2.0 * self.t * self.beta ** (n - 1)) for n in range(max(first, 1), last + 1))
         return ((A0,) if first == 0 else ()) + tuple(later)
 
-    def abs_terms(self, first: int, last: int) -> list:
+    def abs_terms(self, first: int, last: int) -> np.ndarray:
         """|A_n| with no decomposition: I - A_0 >= 0 gives |A_0| = A_0 and
         |A_n| = 2t |beta|^(n-1) (I - A_0), the lifts of the channel values
-        c_0 = d and c_n = 2t |beta|^(n-1) (1 - d)."""
+        c_0 = d and c_n = 2t |beta|^(n-1) (1 - d), LIFT_ROWS rows at a time."""
         _check_range(first, last)
         n = np.arange(first, last + 1)[:, None]
         vals = np.where(n == 0, self.diag, 2.0 * self.t * abs(self.beta) ** np.maximum(n - 1, 0) * (1.0 - self.diag))
-        return [hermitian_part(_lift(self.basis, block)) for block in _row_blocks(vals)]
+        out = np.empty((len(vals), self.dim, self.dim), dtype=np.complex128)
+        for block, rows in zip(_row_blocks(out), _row_blocks(vals)):
+            block[...] = hermitian_part(_lift(self.basis, rows))
+        return out
 
     def tail_bound(self, N: int) -> float:
         return 2.0 * operator_norm(identity(self.dim) - self.a0()) * abs(self.beta) ** N
@@ -467,8 +476,7 @@ def coefficients_dft(f: OperatorFunction, rho: float, N: int, M: int) -> Coeffic
     """
     if not 0.0 < rho <= 1.0 - 1e-3:
         raise OutsideDomain("rho must lie in (0, 1 - 1e-3]")
-    if any(type(n) is bool or not isinstance(n, (int, np.integer)) for n in (N, M)) or N < 0:
-        raise ValueError(f"N and M must be integers and N >= 0, got N = {N!r}, M = {M!r}")
+    N, M = _index(N, "N", 0), _index(M, "M", 0)
     if M < 4 * (N + 1):
         raise GridTooCoarse(f"grid size {M} < 4 * (N + 1) = {4 * (N + 1)}")
     angles = 2.0 * np.pi * np.arange(M) / M

@@ -3,13 +3,13 @@ PSD square roots, and the Loewner (positive semidefinite) order.
 
 All matrices are square ``numpy`` arrays of complex128. Every function is
 pure; nothing mutates its inputs. ``hermitian_part``, ``hermitian_eigen``,
-``psd_sqrt`` and ``abs_operator`` also take a ``(k, d, d)`` stack and treat
-each matrix on its own, with the same arithmetic as a call per matrix.
+``psd_sqrt``, ``abs_operator`` and ``abs_svd`` also take a ``(k, d, d)`` stack
+and treat each matrix on its own, with the same arithmetic as a call per matrix.
 
 Validation happens once, where matrices enter bohrlab: ``as_matrix`` in the
 ``OperatorFunction`` constructors, ``thm1_admissible_radius``,
 ``reconstruct_from_transform`` and ``loewner_leq``. The kernels
-(``hermitian_eigen``, ``psd_sqrt``, ``abs_operator``, ``operator_norm``,
+(``hermitian_eigen``, ``psd_sqrt``, ``abs_operator``, ``abs_svd``, ``operator_norm``,
 ``commutator_norm``, ``normal_defect``, ``is_normal``) take finite complex
 square arrays as given and check nothing; where a Hermitian matrix is needed
 they use the Hermitian part of what they are handed.
@@ -87,6 +87,14 @@ def operator_norm(A: np.ndarray) -> float:
 def abs_operator(A: np.ndarray) -> np.ndarray:
     """|A| = (A*A)^{1/2}, the PSD factor in the polar decomposition."""
     return psd_sqrt(A.conj().swapaxes(-1, -2) @ A)
+
+
+def abs_svd(A: np.ndarray) -> np.ndarray:
+    """|A| = V* diag(s) V from the SVD A = U diag(s) V: within a small multiple of eps ||A|| of |A|
+    however small s_min (Higham, SIAM J. Sci. Stat. Comput. 7, 1986), where abs_operator's clamp
+    drops singular values below about 1e-6 ||A||."""
+    _, s, Vh = np.linalg.svd(A)
+    return hermitian_part((Vh.conj().swapaxes(-1, -2) * s[..., None, :]) @ Vh)
 
 
 PSD_NEG_RTOL = 1e-10

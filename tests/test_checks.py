@@ -81,10 +81,20 @@ def test_majorant_sums_every_stored_term():
     assert tail == 0.0
 
 
-def _loop_sum(blocks, r, first, last, dim):
+def test_majorant_keeps_a_singular_value_below_the_gram_clamp():
+    # the Gram route dropped the 5e-7 of |A_1| = diag(0.9, 5e-7) and read
+    # lambda_max - 1 = -2.0e-7, while check_bohr said VIOLATED at +5.0e-8
+    f = Polynomial([np.diag([0.0, 1.0 - 2e-7]), np.diag([0.9, 5e-7])])
+    partial, tail = majorant(f.coefficients(1), 0.5)
+    top = float(np.linalg.eigvalsh(partial)[-1])
+    assert tail == 0.0
+    assert abs(top - (1.0 + 5e-8)) <= 1e-12
+    assert abs(check_bohr(f, 0.5).lhs_extreme - (top - 1.0)) <= 1e-15
+
+
+def _loop_sum(terms, r, first, last):
     """The per-term reference: partial += T_n r^n in n order."""
-    terms = [T for stack in blocks for T in stack]
-    partial = np.zeros((dim, dim), dtype=np.complex128)
+    partial = np.zeros(terms[0].shape, dtype=np.complex128)
     for n in range(first, last + 1):
         partial += terms[n] * r**n
     return hermitian_part(partial)
@@ -93,30 +103,19 @@ def _loop_sum(blocks, r, first, last, dim):
 @pytest.mark.parametrize("dim", [1, 2, 8])
 @pytest.mark.parametrize("squared", [False, True])
 def test_stack_sum_has_the_bytes_of_the_per_term_loop(dim, squared):
-    sizes = [64, 1, 64, 128]
     rng = np.random.default_rng(dim)
-    A = rng.standard_normal((sum(sizes), dim, dim)) + 1j * rng.standard_normal((sum(sizes), dim, dim))
+    A = rng.standard_normal((257, dim, dim)) + 1j * rng.standard_normal((257, dim, dim))
     A[::7] = 0.0
-    T = abs_operator(A * 0.9 ** np.arange(sum(sizes))[:, None, None])
-    stacks = np.split(T, np.cumsum(sizes)[:-1])
-    terms = [S @ S for S in stacks] if squared else stacks
+    T = abs_operator(A * 0.9 ** np.arange(257)[:, None, None])
+    # eq2 squares the whole array; the loop squares one matrix at a time
+    summed, terms = (T @ T, [S @ S for S in T]) if squared else (T, list(T))
     for first in (0, 1):
-        # 200 sits in the last stack, past the one-matrix stack
-        for last in (0, 63, 64, 65, 200):
+        # a last in the first, second and fourth LIFT_ROWS block of the sum
+        for last in (0, LIFT_ROWS - 1, LIFT_ROWS, LIFT_ROWS + 1, 200):
             for r in (0.0, 0.5, 1.0 - 1e-6):
-                read = []
-
-                def lazy():
-                    # squared one stack at a time as it is read, as eq2 does
-                    for k, S in enumerate(stacks):
-                        read.append(k)
-                        yield S @ S if squared else S
-
-                got = checks._sum(lazy(), r, first, last, dim)
-                want = _loop_sum(terms, r, first, last, dim)
+                got = checks._sum(summed, r, first, last)
+                want = _loop_sum(terms, r, first, last)
                 assert got.tobytes() == want.tobytes(), (first, last, r)
-                # no stack beyond the one holding T_last is read
-                assert read[-1] == int(np.searchsorted(np.cumsum(sizes), last, side="right"))
 
 
 def test_check_bohr_statuses_at_the_sharp_radius():
@@ -257,7 +256,7 @@ def test_bisection_generates_each_rung_once():
     proof_step_validate(f, "eq10", k=20)
     proof_step_validate(f, "eq12", r=0.9)
     coefficient_bound_eq14(f)
-    # a HalfPlaneLift grows its stacks by its own abs_terms, not by terms
+    # a HalfPlaneLift grows its store by its own abs_terms, not by terms
     g = generate_thm2_instance(3, seed=8)
     g_ranges = _count_ranges(g, "abs_terms")
     for r in (0.5, 0.95):
@@ -296,10 +295,10 @@ WARMED = {
 def test_stacks_grown_by_bisection_have_the_bytes_of_one_fresh_series(name):
     warm = WARMED[name]()
     empirical_bohr_radius(warm)
-    grown = [T.tobytes() for stack in warm._abs_stacks for T in stack]
+    grown = warm._abs_store
     fresh = WARMED[name]().abs_terms(0, len(grown) - 1)
-    assert all(len(stack) <= LIFT_ROWS for stack in fresh)
-    assert grown == [T.tobytes() for stack in fresh for T in stack]
+    assert grown.shape == fresh.shape and grown.dtype == fresh.dtype == np.complex128
+    assert grown.tobytes() == fresh.tobytes()
 
 
 def test_a_checked_function_is_freed_without_the_cycle_collector():
@@ -648,6 +647,32 @@ def test_eq14_needs_a_coefficient_to_bound():
             coefficient_bound_eq14(f, max_n=max_n)
     (only,) = coefficient_bound_eq14(f, max_n=1)
     assert abs(only.verdict.min_gap - 0.16) <= 1e-12
+
+
+def _counted(f, where: str, count) -> list:
+    """The reports of eq9 or eq10 at k = count, or of the eq14 chain to max_n = count."""
+    if where == "eq14":
+        return coefficient_bound_eq14(f, count)
+    return [proof_step_validate(f, where, k=count)]
+
+
+@pytest.mark.parametrize("where", ["eq9", "eq10", "eq14"])
+@pytest.mark.parametrize("count", [np.int64(3), np.uint8(3), np.int32(3)])
+def test_a_count_of_any_integer_type_gives_the_reports_of_the_int(where, count):
+    # eq10 and eq14 used to raise AttributeError: 'numpy.int64' object has no attribute 'bit_length'
+    f = generate_thm1_instance(2, degrees=(1, 3), seed=5)
+    want = [(rep.k_or_r, rep.location, *_loewner_bytes(rep.verdict)) for rep in _counted(f, where, 3)]
+    got = [(rep.k_or_r, rep.location, *_loewner_bytes(rep.verdict)) for rep in _counted(f, where, count)]
+    assert got == want
+
+
+@pytest.mark.parametrize("where", ["eq9", "eq10", "eq14"])
+@pytest.mark.parametrize("count", [2.5, np.float64(3.0), True, np.bool_(True), "3", None])
+def test_a_count_that_is_not_an_integer_is_refused(where, count):
+    # 2.5 used to raise TypeError or AttributeError, and True ran as 1
+    f = generate_thm1_instance(2, degrees=(1, 3), seed=5)
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        _counted(f, where, count)
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,16 @@ def test_terms_has_the_bytes_of_the_series(name):
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_SERIES) + sorted(SCALAR_SERIES))
+def test_abs_terms_is_one_array_with_the_bytes_of_the_whole_range(name):
+    f = PINNED_SERIES[name][0] if name in PINNED_SERIES else SCALAR_SERIES[name]
+    for first, last in TERM_RANGES:
+        got = f.abs_terms(first, last)
+        assert type(got) is np.ndarray and got.dtype == np.complex128
+        assert got.shape == (last - first + 1, f.dim, f.dim)
+        assert got.tobytes() == f.abs_terms(0, last)[first:].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SERIES) + sorted(SCALAR_SERIES))
 def test_sample_of_no_points_is_empty(name):
     # every class used to raise numpy's "need at least one array to stack"
     f = PINNED_SERIES[name][0] if name in PINNED_SERIES else SCALAR_SERIES[name]
@@ -495,9 +505,8 @@ def test_halfplane_abs_terms_are_the_closed_form(dim, beta, t):
     # nothing here since every channel keeps 1 - d_i >= 1e-3
     rng = np.random.default_rng(dim)
     f = HalfPlaneLift(random_unitary(dim, dim), rng.uniform(0.0, 0.999, dim), t, beta)
-    stacks = f.abs_terms(0, 130)
-    assert [len(stack) for stack in stacks] == [LIFT_ROWS, LIFT_ROWS, 3]
-    got = np.concatenate(stacks)
+    got = f.abs_terms(0, 130)
+    assert got.shape == (131, dim, dim)
     gram = abs_operator(np.stack(f.terms(0, 130)))
     gap = identity(dim) - f.a0()
     for n, T in enumerate(got):
@@ -506,7 +515,7 @@ def test_halfplane_abs_terms_are_the_closed_form(dim, beta, t):
         assert np.array_equal(T, T.conj().T)
         assert operator_norm(T - exact) <= 1e-14 * scale
         assert operator_norm(T - gram[n]) <= 1e-12 * scale
-    assert np.array_equal(np.concatenate(f.abs_terms(5, 70)), got[5:71])
+    assert np.array_equal(f.abs_terms(5, 70), got[5:71])
 
 
 def _mp_abs(mpmath, A: np.ndarray) -> np.ndarray:
@@ -530,9 +539,8 @@ def test_polynomial_abs_terms_keep_singular_values_the_gram_route_drops(dim):
         U, V = (random_unitary(dim, int(seed)) for seed in rng.integers(1 << 30, size=2))
         coeffs.append((U * s) @ V.conj().T)
     f = Polynomial(coeffs)
-    stacks = f.abs_terms(0, 130)
-    assert [len(stack) for stack in stacks] == [LIFT_ROWS, LIFT_ROWS, 3]
-    got = np.concatenate(stacks)
+    got = f.abs_terms(0, 130)
+    assert got.shape == (131, dim, dim)
     assert not got[3:].any()
     gram = abs_operator(np.stack(f.coeffs))
     for A, T, G in zip(f.coeffs, got, gram):
@@ -540,7 +548,7 @@ def test_polynomial_abs_terms_keep_singular_values_the_gram_route_drops(dim):
         assert np.array_equal(T, T.conj().T)
         assert operator_norm(T - exact) <= 1e-14 * (1.0 + operator_norm(A))
         assert operator_norm(G - exact) > 1e-9
-    assert np.array_equal(np.concatenate(f.abs_terms(2, 70)), got[2:71])
+    assert np.array_equal(f.abs_terms(2, 70), got[2:71])
 
 
 def test_halfplane_evaluation_uses_the_symbol():
