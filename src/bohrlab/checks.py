@@ -520,7 +520,7 @@ def _validate_step(
         return ProofStepReport(step, float(len(samples)), verdict, worst_z)
 
     if spec.param == "k":
-        k = _index(k, "k", 1)
+        k = _index(k, "k", 1, MAX_N)
         A0 = f.coefficient0()
         P = hermitian_part(A0.conj().T @ A0)
         S = _powers_sum(P, k)
@@ -586,7 +586,7 @@ def coefficient_bound_eq14(f: OperatorFunction, max_n: int = 32) -> list[ProofSt
 
     The report for n = 1 is the one proof_step_validate gives for eq14.
     """
-    max_n = _index(max_n, "max_n", 1)
+    max_n = _index(max_n, "max_n", 1, MAX_N)
     require_hypotheses(f, STEPS[ProofStep.EQ14].family)
     return _eq14_chain(f, max_n)
 

@@ -63,14 +63,15 @@ def _check_range(first: int, last: int) -> None:
         raise ValueError(f"terms needs 0 <= first <= last, got ({first}, {last})")
 
 
-def _index(value, name: str, least: int) -> int:
-    """value as an int >= least by operator.index; ValueError for a bool, a non-integer or a smaller value."""
+def _index(value, name: str, least: int, most: int | None = None) -> int:
+    """value as an int in [least, most] by operator.index; ValueError for a bool, a non-integer or a value outside."""
     try:
         n = operator.index(value)
     except TypeError:
         n = None
-    if type(value) is bool or n is None or n < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if type(value) is bool or n is None or n < least or (most is not None and n > most):
+        at_most = "" if most is None else f" and <= {most}"
+        raise ValueError(f"{name} must be an integer >= {least}{at_most}, got {value!r}")
     return n
 
 
@@ -197,23 +198,21 @@ class OperatorFunction:
         """The (k, d, d) stack of f at a 1-D complex array of points, unguarded."""
         raise NotImplementedError
 
-    def terms(self, first: int, last: int) -> tuple:
-        """A_first, ..., A_last by the class's formula; ValueError unless 0 <= first <= last."""
+    def terms(self, first: int, last: int) -> np.ndarray:
+        """The (last - first + 1, d, d) array A_first, ..., A_last; ValueError unless 0 <= first <= last."""
         raise NotImplementedError
 
     def abs_terms(self, first: int, last: int) -> np.ndarray:
         """The (last - first + 1, d, d) array |A_first|, ..., |A_last|. By default psd_sqrt(A*A) of terms,
-        LIFT_ROWS at a time, each block of terms dropped once converted (drops s < ~1e-6 ||A_n||; kept
-        for the digests it pins until ROADMAP item 10's SVD route)."""
-        coeffs = list(self.terms(first, last))
-        out = np.empty((len(coeffs), self.dim, self.dim), dtype=np.complex128)
+        converted in place LIFT_ROWS at a time (drops s < ~1e-6 ||A_n||; kept for the digests it pins
+        until ROADMAP item 10's SVD route)."""
+        out = self.terms(first, last)
         for block in _row_blocks(out):
-            block[...] = abs_operator(np.stack(coeffs[:LIFT_ROWS]))
-            del coeffs[:LIFT_ROWS]
+            block[...] = abs_operator(block)
         return out
 
     def tail_bound(self, N: int) -> float:
-        """A bound on ||A_n|| for every n > N >= 0 that generates no coefficient."""
+        """A bound on ||A_n|| for every n > N >= 0, generating no coefficient; fixed norms are taken at construction."""
         raise NotImplementedError
 
     def _exact(self, N: int) -> bool:
@@ -221,7 +220,7 @@ class OperatorFunction:
         return False
 
     def coefficients(self, N: int) -> CoefficientSeries:
-        return CoefficientSeries(self.terms(0, N), self.tail_bound(N), self._exact(N))
+        return CoefficientSeries(tuple(self.terms(0, N)), self.tail_bound(N), self._exact(N))
 
     def coefficient0(self) -> np.ndarray:
         return self.terms(0, 0)[0]
@@ -255,17 +254,18 @@ class Polynomial(OperatorFunction):
             acc = acc * z + A
         return acc
 
-    def terms(self, first: int, last: int) -> tuple:
+    def terms(self, first: int, last: int) -> np.ndarray:
         _check_range(first, last)
-        zero = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        return self.coeffs[first : last + 1] + (zero,) * (last + 1 - max(first, len(self.coeffs)))
+        out = np.zeros((last + 1 - first, self.dim, self.dim), dtype=np.complex128)
+        stored = self.coeffs[first : last + 1]
+        out[: len(stored)] = np.reshape(stored, (-1, self.dim, self.dim))
+        return out
 
     def abs_terms(self, first: int, last: int) -> np.ndarray:
         """|A_n| by one batched abs_svd of the stored A_n in [first, last], zero beyond the degree."""
-        _check_range(first, last)
-        out = np.zeros((last + 1 - first, self.dim, self.dim), dtype=np.complex128)
-        stored = np.reshape(self.coeffs[first : last + 1], (-1, self.dim, self.dim))
-        out[: len(stored)] = abs_svd(stored)
+        out = self.terms(first, last)
+        stored = out[: len(self.coeffs[first : last + 1])]
+        stored[...] = abs_svd(stored)
         return out
 
     def tail_bound(self, N: int) -> float:
@@ -317,9 +317,13 @@ class MobiusLift(OperatorFunction):
         b = self.phases * pts[:, None] ** self.degrees
         return _lift(self.basis, (lam + b) / (1.0 + np.conj(lam) * b))
 
-    def terms(self, first: int, last: int) -> tuple:
-        """Lifts of the channel series, LIFT_ROWS coefficients per stack."""
-        return tuple(A for block in _row_blocks(self._series(first, last)) for A in _lift(self.basis, block))
+    def terms(self, first: int, last: int) -> np.ndarray:
+        """Lifts of the channel series, written LIFT_ROWS coefficients at a time."""
+        vals = self._series(first, last)
+        out = np.empty((len(vals), self.dim, self.dim), dtype=np.complex128)
+        for block, rows in zip(_row_blocks(out), _row_blocks(vals)):
+            block[...] = _lift(self.basis, rows)
+        return out
 
     def _series(self, first: int, last: int) -> np.ndarray:
         """The (last - first + 1, d) channel values of A_first .. A_last: lambda_i at
@@ -362,6 +366,8 @@ class TransferRealization(OperatorFunction):
         self.colligation = U.copy()
         self.colligation.setflags(write=False)
         self.state_dim = s
+        A, B, C, _ = self.blocks
+        self._norms = operator_norm(C), operator_norm(A), operator_norm(B)
 
     @property
     def blocks(self):
@@ -378,21 +384,28 @@ class TransferRealization(OperatorFunction):
             raise NotInvertible(str(exc)) from exc
         return D + z * (C @ X)
 
-    def terms(self, first: int, last: int) -> tuple:
-        """A_0 = D, A_n = C P with P = A^(n-1) B; below first, P advances alone."""
+    def terms(self, first: int, last: int) -> np.ndarray:
+        """A_0 = D, A_n = C P_n with P_n = A^(n-1) B by the sequential products A P (below first,
+        P advances alone), stacked LIFT_ROWS at a time and each stack multiplied by C in one product."""
         _check_range(first, last)
         A, B, C, D = self.blocks
-        coeffs = [D.copy()] if first == 0 else []
+        out = np.empty((last + 1 - first, self.dim, self.dim), dtype=np.complex128)
+        if first == 0:
+            out[0] = D
         P = B
-        for n in range(1, last + 1):
-            if n >= first:
-                coeffs.append(C @ P)
+        for _ in range(1, first):
             P = A @ P
-        return tuple(coeffs)
+        powers = np.empty((LIFT_ROWS, self.state_dim, self.dim), dtype=np.complex128)
+        for block in _row_blocks(out[1:] if first == 0 else out):
+            for k in range(len(block)):
+                powers[k] = P
+                P = A @ P
+            np.matmul(C, powers[: len(block)], out=block)
+        return out
 
     def tail_bound(self, N: int) -> float:
-        A, B, C, _ = self.blocks
-        return min(operator_norm(C) * operator_norm(A) ** N * operator_norm(B), 1.0)
+        norm_C, norm_A, norm_B = self._norms
+        return min(norm_C * norm_A ** N * norm_B, 1.0)
 
     def _exact(self, N: int) -> bool:
         return self.state_dim == 0
@@ -428,6 +441,7 @@ class HalfPlaneLift(OperatorFunction):
         self.beta = beta
         for arr in (self.basis, self.diag):
             arr.setflags(write=False)
+        self._twice_gap_norm = 2.0 * operator_norm(identity(self.dim) - self.a0())
 
     def a0(self) -> np.ndarray:
         return (self.basis * self.diag) @ self.basis.conj().T
@@ -440,12 +454,17 @@ class HalfPlaneLift(OperatorFunction):
         """Every channel d_i + (1 - d_i) s(z) at all points at once."""
         return _lift(self.basis, self.diag + (1.0 - self.diag) * self.symbol(pts)[:, None])
 
-    def terms(self, first: int, last: int) -> tuple:
+    def terms(self, first: int, last: int) -> np.ndarray:
+        """A_0, then A_n = (I - A_0) s_n by one scalar product per n (the SERIES_SHA256 pins read them)."""
         _check_range(first, last)
         A0 = self.a0()
         gap = identity(self.dim) - A0
-        later = (gap * (-2.0 * self.t * self.beta ** (n - 1)) for n in range(max(first, 1), last + 1))
-        return ((A0,) if first == 0 else ()) + tuple(later)
+        out = np.empty((last + 1 - first, self.dim, self.dim), dtype=np.complex128)
+        if first == 0:
+            out[0] = A0
+        for n in range(max(first, 1), last + 1):
+            out[n - first] = gap * (-2.0 * self.t * self.beta ** (n - 1))
+        return out
 
     def abs_terms(self, first: int, last: int) -> np.ndarray:
         """|A_n| with no decomposition: I - A_0 >= 0 gives |A_0| = A_0 and
@@ -460,7 +479,7 @@ class HalfPlaneLift(OperatorFunction):
         return out
 
     def tail_bound(self, N: int) -> float:
-        return 2.0 * operator_norm(identity(self.dim) - self.a0()) * abs(self.beta) ** N
+        return self._twice_gap_norm * abs(self.beta) ** N
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,8 @@ class LoewnerVerdict:
 
 
 def default_loewner_tol(A: np.ndarray, B: np.ndarray) -> float:
-    return 1e-9 * (1.0 + operator_norm(A) + operator_norm(B))
+    norm_A, norm_B = np.linalg.norm(np.stack((A, B)), 2, axis=(1, 2)).tolist()
+    return 1e-9 * (1.0 + norm_A + norm_B)
 
 
 def loewner_leq(A, B) -> LoewnerVerdict:

@@ -24,6 +24,18 @@ def loop_terms(f: MobiusLift, first: int, last: int) -> list:
     return out
 
 
+def loop_transfer_terms(f: TransferRealization, first: int, last: int) -> list:
+    """A_first, ..., A_last of a transfer function: A_0 = D, then C P and P <- A P one n at a time, from P = B."""
+    A, B, C, D = f.blocks
+    out = [D.copy()] if first == 0 else []
+    P = B
+    for n in range(1, last + 1):
+        if n >= first:
+            out.append(C @ P)
+        P = A @ P
+    return out
+
+
 def loop_evaluate(f, z: complex) -> np.ndarray:
     """f(z) by its class's formula at one point, with no disk guard."""
     z = complex(z)

@@ -11,6 +11,7 @@ import pytest
 from bohrlab import checks
 from bohrlab.checks import (
     INITIAL_N,
+    MAX_N,
     Branch,
     ProofStep,
     RADIUS_CAP,
@@ -673,6 +674,19 @@ def test_a_count_that_is_not_an_integer_is_refused(where, count):
     f = generate_thm1_instance(2, degrees=(1, 3), seed=5)
     with pytest.raises(ValueError, match="must be an integer >= 1"):
         _counted(f, where, count)
+
+
+@pytest.mark.parametrize("where", ["eq9", "eq10", "eq14"])
+def test_a_count_is_capped_at_the_largest_rung(where):
+    # MAX_N + 1 used to build a store of 2 MAX_N + 1 rows
+    f = mobius_witness(0.5)
+    reports = _counted(f, where, MAX_N)
+    assert reports[-1].k_or_r == MAX_N
+    assert len(f.__dict__.get("_abs_store", ())) <= MAX_N + 1
+    f = mobius_witness(0.5)
+    with pytest.raises(ValueError, match=f"must be an integer >= 1 and <= {MAX_N}"):
+        _counted(f, where, MAX_N + 1)
+    assert "_abs_store" not in f.__dict__
 
 
 # ---------------------------------------------------------------------------

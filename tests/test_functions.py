@@ -1,12 +1,14 @@
 """Function representations: evaluation, coefficients, transforms, generators."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
-from reference_loops import loop_certified_sup, loop_evaluate, loop_terms
+from reference_loops import loop_certified_sup, loop_evaluate, loop_terms, loop_transfer_terms
 
-from bohrlab.checks import default_z_samples, majorant, require_hypotheses
+from bohrlab import functions
+from bohrlab.checks import RUNGS, default_z_samples, majorant, require_hypotheses
 from bohrlab.errors import (
     CommutationViolated,
     DimensionMismatch,
@@ -311,18 +313,45 @@ def test_mobius_terms_of_huge_degrees_have_the_bytes_of_the_scalar_loop():
             assert _bytes(f.terms(first, last)) == _bytes(loop_terms(f, first, last))
 
 
-def test_mobius_terms_come_in_stacks_of_their_own_of_at_most_lift_rows():
+def test_mobius_lifts_are_handed_at_most_lift_rows(monkeypatch):
     f = generate_thm1_instance(3, (1, 5), seed=2)
-    terms = f.terms(0, 3 * LIFT_ROWS + 5)
-    roots = []
-    for A in terms:
-        while A.base is not None:
-            A = A.base
-        roots.append(A)
-    # consecutive runs of LIFT_ROWS coefficients share one base array each, and no other
-    assert [id(root) for root in roots] == [id(roots[n - n % LIFT_ROWS]) for n in range(len(terms))]
-    assert len({id(root) for root in roots}) == -(-len(terms) // LIFT_ROWS)
-    assert max(root.size for root in roots) == LIFT_ROWS * f.dim**2
+    rows, lift = [], functions._lift
+
+    def spy(Q, vals):
+        rows.append(len(vals))
+        return lift(Q, vals)
+
+    monkeypatch.setattr(functions, "_lift", spy)
+    for first, last in ((0, 3 * LIFT_ROWS + 5), (5, 2 * LIFT_ROWS)):
+        rows.clear()
+        f.abs_terms(first, last)
+        assert max(rows) <= LIFT_ROWS and sum(rows) == last - first + 1
+
+
+@pytest.mark.parametrize("kind", ["mobius", "transfer"])
+def test_abs_terms_peak_memory_is_at_most_twice_its_output(kind):
+    # the output array, plus temporaries of one LIFT_ROWS block (1.77x at d = 8;
+    # a list of coefficient stacks and its np.stack copy made it 3.03x)
+    if kind == "mobius":
+        f = generate_thm1_instance(8, (1, 5), seed=2)
+    else:
+        f = generate_transfer_instance(8, 16, seed=2)
+    f.abs_terms(0, 2 * LIFT_ROWS)  # first-call allocations of numpy and LAPACK
+    tracemalloc.start()
+    try:
+        out = f.abs_terms(0, 8 * LIFT_ROWS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes
+
+
+@pytest.mark.parametrize("state_dim", range(5))
+def test_transfer_terms_have_the_bytes_of_the_sequential_loop(state_dim):
+    for dim in (1, 2, 4):
+        f = generate_transfer_instance(dim, state_dim, seed=3 + state_dim)
+        for first, last in TERM_RANGES + ((65, 128),):
+            assert _bytes(f.terms(first, last)) == _bytes(loop_transfer_terms(f, first, last))
 
 
 # instances of every class: Mobius lifts of d = 1 to 8 (boundary channels at seed 2),
@@ -338,6 +367,21 @@ SAMPLED = {
     "halfplane": [generate_thm2_instance(dim, seed=seed) for dim in range(1, 9) for seed in range(3)]
     + [HalfPlaneLift(np.eye(1), [0.4], 0.25, 0.0), HalfPlaneLift([[1j]], [0.1], 0.5, -0.3)],
 }
+
+
+def _fresh_tail_bound(f, N: int) -> float:
+    """tail_bound's formula with every norm taken anew."""
+    if isinstance(f, HalfPlaneLift):
+        return 2.0 * operator_norm(identity(f.dim) - f.a0()) * abs(f.beta) ** N
+    A, B, C, _ = f.blocks
+    return min(operator_norm(C) * operator_norm(A) ** N * operator_norm(B), 1.0)
+
+
+@pytest.mark.parametrize("kind", ["transfer", "halfplane"])
+def test_tail_bounds_from_norms_taken_once_have_the_bytes_of_fresh_norms(kind):
+    for f in SAMPLED[kind]:
+        got = [f.tail_bound(N).hex() for N in (0,) + RUNGS]
+        assert got == [_fresh_tail_bound(f, N).hex() for N in (0,) + RUNGS]
 
 
 def _assert_samples_have_the_bytes_of_per_point_evaluation(f):

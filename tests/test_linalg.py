@@ -160,6 +160,16 @@ def test_loewner_tol_scales_with_norms():
     assert default_loewner_tol(A, B) >= 1e-9 * 1e6
 
 
+def test_loewner_tol_has_the_bytes_of_two_separate_norms():
+    # one batched SVD of the pair gives each norm of a call per matrix
+    for dim in range(1, 9):
+        for seed in range(200):
+            A = random_hermitian(dim, 2 * seed, scale=10.0 ** (seed % 7 - 3))
+            B = random_hermitian(dim, 2 * seed + 1)
+            want = 1e-9 * (1.0 + operator_norm(A) + operator_norm(B))
+            assert default_loewner_tol(A, B).hex() == want.hex()
+
+
 def test_loewner_rejects_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         loewner_leq(identity(2), identity(3))
