@@ -50,6 +50,7 @@ from .functions import (
     OperatorFunction,
     Polynomial,
     _index,
+    _row_blocks,
     certified_sup,
     generate_thm1_instance,
     hypothesis_check,
@@ -144,8 +145,7 @@ def _abs_store(f: OperatorFunction, n: int) -> np.ndarray:
     """
     T = f.__dict__.get("_abs_store", ())
     if len(T) <= n:
-        N = max(INITIAL_N, 1 << (n - 1).bit_length())  # the rung covering n
-        new = f.abs_terms(len(T), N)
+        new = f.abs_terms(len(T), next(N for N in RUNGS if N >= n))
         T = f._abs_store = np.concatenate((T, new)) if len(T) else new
     return T
 
@@ -413,11 +413,11 @@ def _worst(a: LoewnerVerdict, b: LoewnerVerdict) -> LoewnerVerdict:
 def _gram_verdict(f, left_of, samples) -> tuple[LoewnerVerdict, complex]:
     """Aggregate PSD check of left*left - right*right over z samples,
     where right = f(z) - A_0 and left = left_of(f(z), A_0), taken on stacks of
-    INITIAL_N samples. The first sample of smallest gap is the worst."""
+    LIFT_ROWS samples. The first sample of smallest gap is the worst."""
     A0 = f.coefficient0()
     gaps, vecs = [], []
-    for start in range(0, len(samples), INITIAL_N):
-        fz = f.sample(samples[start : start + INITIAL_N]).values
+    for block in _row_blocks(samples):
+        fz = f.sample(block).values
         L = left_of(fz, A0)
         R = fz - A0
         eig = hermitian_eigen(L.conj().swapaxes(-1, -2) @ L - R.conj().swapaxes(-1, -2) @ R)

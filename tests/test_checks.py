@@ -286,8 +286,10 @@ def test_bisection_generates_each_rung_once():
 WARMED = {
     "mobius witness": lambda: mobius_witness(0.3, degree=5),
     "thm1": lambda: generate_thm1_instance(3, degrees=(1, 10), seed=5),
+    "thm1 wide": lambda: generate_thm1_instance(5, degrees=(1, 10), seed=0),  # grows to 129 rows
     "transfer": lambda: generate_transfer_instance(2, 2, seed=3),
     "halfplane": lambda: generate_thm2_instance(2, seed=4),
+    "halfplane wide": lambda: generate_thm2_instance(8, seed=4),  # grows to 1,025 rows
     "polynomial": lambda: Polynomial([0.5 * np.eye(2), [[0, 0.2], [0.1, 0]]]),
 }
 
