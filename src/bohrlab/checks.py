@@ -618,25 +618,70 @@ def check_thm2_bounds(f: OperatorFunction, r: float, tol: float = DEFAULT_BOHR_T
 # ---------------------------------------------------------------------------
 
 def empirical_bohr_radius(f: OperatorFunction, tol: float = 1e-6) -> float:
-    """Bisect the Holds/Violated boundary of check_bohr.
+    """The Holds/Violated boundary of check_bohr as bisecting (0, RADIUS_CAP)
+    down to width tol finds it: 0.5 * (lo + hi) of the final bracket.
 
     Returns RADIUS_CAP when the majorant stays admissible all the way to
     the cap (compare against RADIUS_CAP to detect this). Inconclusive
-    midpoints are treated as the violated side, which can only
-    under-report the radius.
+    probes count as violated, which can only under-report the radius.
+
+    Whether a probe holds is monotone in r: the partial sums and the tail
+    only grow with r, tail_bound(N) does not depend on r, and partial sums
+    only grow with N. So a probe that holds at r decides every bisection
+    midpoint <= r, and one that fails decides every midpoint >= r. The
+    bisection is replayed from the largest held r (L) and the smallest
+    failed r (H), a midpoint strictly between them going the way of a root
+    guess, and only the end of the replayed final bracket nearest the
+    guess is probed, until both ends are decided. The replayed path is then
+    the bisection's, so the result is the bisection's bit for bit, unless
+    a probe within rounding of the boundary breaks the monotonicity.
+
+    The guess is the secant of (lhs_extreme + truncation_gap -
+    DEFAULT_BOHR_TOL) * (1 - r) through the last two probes, the factor
+    1 - r taking out the tail's pole at the cap. It falls back to
+    0.5 * (L + H), which halves the brackets left in (L, H), when the
+    secant leaves (L, H), when it moves at least half the step before last
+    (Brent's rule), or when bisecting (L, H) after one more probe could
+    take the probes past twice the bisection's.
     """
     if not 1e-6 <= tol < np.inf:
         raise ValueError("tol must be finite and >= 1e-6")
-    if check_bohr(f, RADIUS_CAP).holds:
+    verdict = check_bohr(f, RADIUS_CAP)
+    if verdict.holds:
         return RADIUS_CAP
-    lo, hi = 0.0, RADIUS_CAP
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if check_bohr(f, mid).holds:
-            lo = mid
+    L, H = 0.0, RADIUS_CAP
+    probes = []
+    while True:
+        excess = verdict.lhs_extreme + verdict.truncation_gap - DEFAULT_BOHR_TOL
+        probes.append((verdict.r, excess * (1.0 - verdict.r)))
+        guess = 0.5 * (L + H)
+        if len(probes) > 1:
+            (r0, g0), (r1, g1) = probes[-2:]
+            secant = r1 - g1 * (r1 - r0) / (g1 - g0) if g1 != g0 else guess
+            # probes that bisecting (L, H) would still take: the brackets in it halve with each
+            bisections = (round((H - L) / spacing) - 1).bit_length()
+            if (L < secant < H and len(probes) + bisections < budget
+                    and (len(probes) < 3 or abs(secant - r1) < 0.5 * abs(r0 - probes[-3][0]))):
+                guess = secant
+        lo, hi, depth = 0.0, RADIUS_CAP, 0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if mid <= L or (mid < H and mid <= guess):
+                lo = mid
+            else:
+                hi = mid
+            depth += 1
+        if len(probes) == 1:
+            spacing, budget = hi - lo, 2 * (depth + 1)
+        open_ends = [x for x in (lo, hi) if L < x < H]
+        if not open_ends:
+            return 0.5 * (lo + hi)
+        r = min(open_ends, key=lambda x: abs(x - guess))
+        verdict = check_bohr(f, r)
+        if verdict.holds:
+            L = r
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            H = r
 
 
 def build_radius_report(f: OperatorFunction, tol: float = 1e-6) -> RadiusReport:

@@ -1,9 +1,12 @@
 """Coefficients and values of every class by the scalar formulas, one n and
-one point at a time. Batched terms keep the bytes of these references;
-batched values stay within 16 eps (1 + max|f|) of them, entry by entry."""
+one point at a time, and the empirical radius by plain bisection. Batched
+terms keep the bytes of these references; batched values stay within
+16 eps (1 + max|f|) of them, entry by entry; the radius search keeps the
+bisection's bytes."""
 
 import numpy as np
 
+from bohrlab import checks
 from bohrlab.functions import HalfPlaneLift, MobiusLift, TransferRealization
 from bohrlab.linalg import identity
 
@@ -63,3 +66,18 @@ def loop_certified_sup(f) -> tuple:
     norms = np.array([np.linalg.norm(loop_evaluate(f, np.exp(1j * a)), 2) for a in angles])
     k = int(np.argmax(norms))
     return float(norms[k] / (1.0 - np.pi * d / M)), complex(np.exp(1j * angles[k]))
+
+
+def loop_bisection_radius(f, tol: float = 1e-6) -> float:
+    """empirical_bohr_radius by plain bisection of (0, RADIUS_CAP): one
+    checks.check_bohr probe per midpoint until the bracket is at most tol wide."""
+    if checks.check_bohr(f, checks.RADIUS_CAP).holds:
+        return checks.RADIUS_CAP
+    lo, hi = 0.0, checks.RADIUS_CAP
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if checks.check_bohr(f, mid).holds:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -4,14 +4,17 @@ import gc
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
+from reference_loops import loop_bisection_radius
 
 from bohrlab import checks
 from bohrlab.checks import (
     INITIAL_N,
     MAX_N,
+    BohrVerdict,
     Branch,
     ProofStep,
     RADIUS_CAP,
@@ -47,6 +50,7 @@ from bohrlab.functions import (
     HalfPlaneLift,
     MobiusLift,
     Polynomial,
+    certified_sup,
     generate_thm1_instance,
     generate_thm2_instance,
     generate_transfer_instance,
@@ -738,6 +742,91 @@ def test_empirical_radius_caps_for_exact_series():
     assert rep.capped
     assert rep.branch is Branch.SQRT
     assert abs(rep.guaranteed_radius - np.sqrt(0.5)) <= 1e-12
+
+
+def _schur_polynomial(dim: int, degree: int, seed: int) -> Polynomial:
+    """Normal A_0 plus Ginibre A_1..A_degree, scaled to sup norm 1 - 1e-3 on the disk."""
+    rng = np.random.default_rng(seed)
+    q = random_unitary(dim, rng)
+    lam = rng.uniform(0.3, 0.95, dim) * np.exp(2j * np.pi * rng.uniform(size=dim))
+    coeffs = [(q * lam) @ q.conj().T]
+    for _ in range(degree):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        coeffs.append(0.5 * g / np.sqrt(2.0 * dim))
+    bound, _ = certified_sup(Polynomial(coeffs))
+    return Polynomial([(1.0 - 1e-3) / bound * c for c in coeffs])
+
+
+RADIUS_CASES = {
+    **{
+        f"thm1 d{dim} deg{top} seed{seed}": partial(generate_thm1_instance, dim, degrees=(1, top), seed=seed)
+        for dim in range(1, 9) for top in (4, 10) for seed in (3, 29)
+    },
+    **{f"witness {lam}": partial(mobius_witness, lam) for lam in (0.3, 0.5, 0.75, 0.9)},
+    "witness 0.01 degree 10": partial(mobius_witness, 0.01, degree=10),
+    **{
+        f"transfer {dim}+{state} seed{seed}": partial(generate_transfer_instance, dim, state, seed=seed)
+        for dim, state, seed in ((1, 2, 0), (3, 2, 1), (4, 3, 2))
+    },
+    **{
+        f"schur polynomial d{dim} deg{degree}": partial(_schur_polynomial, dim, degree, seed=dim)
+        for dim, degree in ((1, 1), (2, 3), (5, 2))
+    },
+    "zI": lambda: Polynomial([np.zeros((2, 2)), identity(2)]),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-3])
+@pytest.mark.parametrize("case", RADIUS_CASES)
+def test_empirical_radius_has_the_bytes_of_the_bisection(case, tol):
+    f = RADIUS_CASES[case]()
+    assert empirical_bohr_radius(f, tol).hex() == loop_bisection_radius(f, tol).hex()
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-3])
+@pytest.mark.parametrize("theta", [0.3, 0.7, 0.999])
+def test_empirical_radius_stops_a_creeping_secant_at_twice_the_bisection(theta, tol, monkeypatch):
+    # each lhs_extreme puts the next secant a fifth of tol past the last probe,
+    # inside Brent's step rule, so every probe moves one bracket; with no budget
+    # this took about 300 probes before the lhs_extreme values underflowed
+    calls = []
+
+    def creeping(f, r, bohr_tol=checks.DEFAULT_BOHR_TOL):
+        holds = r <= theta
+        if calls:
+            r0, g0 = calls[-1]
+            target = r + 0.2 * tol if holds else r - 0.2 * tol
+            g = (target - r) * g0 / (target - r0)
+        else:
+            g = 1e200
+        calls.append((r, g))
+        status = Status.HOLDS if holds else Status.VIOLATED
+        return BohrVerdict(status, r, g / (1.0 - r) + checks.DEFAULT_BOHR_TOL, 0.0, INITIAL_N)
+
+    monkeypatch.setattr(checks, "check_bohr", creeping)
+    radius = empirical_bohr_radius(None, tol)
+    probes = len(calls)
+    calls.clear()
+    assert radius.hex() == loop_bisection_radius(None, tol).hex()
+    assert probes <= 2 * len(calls)
+
+
+def test_empirical_radius_takes_at_most_10_probes_in_the_median(monkeypatch):
+    calls = []
+
+    def counted(f, r, tol=checks.DEFAULT_BOHR_TOL):
+        calls.append(r)
+        return check_bohr(f, r, tol)
+
+    monkeypatch.setattr(checks, "check_bohr", counted)
+    probes = []
+    for i in range(16):
+        f = generate_thm1_instance(1 + i % 8, degrees=(1, 4) if i < 8 else (1, 10), seed=100 + i)
+        calls.clear()
+        empirical_bohr_radius(f)
+        probes.append(len(calls))
+    # plain bisection takes 21 on every one of these
+    assert np.median(probes) <= 10, probes
 
 
 def test_radius_report_margin_sign():
