@@ -35,7 +35,7 @@ from .linalg import (
     hermitian_part,
     identity,
     is_normal,
-    loewner_leq,
+    loewner_compare,
     normal_defect,
     operator_norm,
     psd_sqrt,
@@ -262,7 +262,7 @@ def _radius_from_abs(abs_a0: np.ndarray) -> AdmissibleRadius:
     eye = identity(dim)
     S = psd_sqrt((eye - abs_a0) / 2.0)
     r_sqrt = float(hermitian_eigen(S).eigenvalues[0])
-    half_ok = loewner_leq(eye / 2.0, abs_a0).holds
+    half_ok = loewner_compare(eye / 2.0, abs_a0).holds
     if not half_ok:
         return AdmissibleRadius(r_sqrt, Branch.SQRT)
     r_inv = float(hermitian_eigen(np.linalg.inv(eye + 2.0 * abs_a0)).eigenvalues[0])
@@ -449,10 +449,10 @@ def _series_loewner(
             break
     T = _abs_store(f, N)[: N + 1]
     partial = _sum(T @ T if squared else T, r, first, N)
-    padded = loewner_leq(partial + tail * identity(len(rhs)), rhs)
+    padded = loewner_compare(partial + tail * identity(len(rhs)), rhs)
     if padded.relation is Order.LESS_OR_EQUAL:
         return padded
-    raw = loewner_leq(partial, rhs)
+    raw = loewner_compare(partial, rhs)
     if raw.relation is Order.NOT_LESS_OR_EQUAL:
         return raw
     return LoewnerVerdict(Order.BOUNDARY, raw.min_gap, raw.tolerance, None)
@@ -537,7 +537,7 @@ def _validate_step(
                 power = power @ absA0
             lhs = hermitian_part(lhs)
             rhs = hermitian_part(absA0 @ gap2 @ S)
-        return ProofStepReport(step, float(k), loewner_leq(lhs, rhs), f"k={k}")
+        return ProofStepReport(step, float(k), loewner_compare(lhs, rhs), f"k={k}")
 
     if spec.param == "r":
         if not 0.0 <= r < 1.0:
@@ -545,7 +545,7 @@ def _validate_step(
         first, squared = 1, False
         if step is ProofStep.EQ11:
             absA0 = _abs_store(f, 0)[0]
-            if not loewner_leq(r * eye, absA0).holds:
+            if not loewner_compare(r * eye, absA0).holds:
                 raise StepNotApplicable("rI <= |A_0| fails; step not applicable")
             gap2 = hermitian_part(eye - absA0 @ absA0)
             rhs = hermitian_part(r * gap2 @ np.linalg.inv(eye - r * absA0))
@@ -573,9 +573,9 @@ def _eq14_chain(f: OperatorFunction, max_n: int) -> list[ProofStepReport]:
     eye = identity(f.dim)
     mid = hermitian_part(eye - absA0 @ absA0)
     upper = hermitian_part(2.0 * (eye - absA0))
-    second = loewner_leq(mid, upper)
+    second = loewner_compare(mid, upper)
     return [
-        ProofStepReport(ProofStep.EQ14, float(n), _worst(loewner_leq(T, mid), second), f"n={n}")
+        ProofStepReport(ProofStep.EQ14, float(n), _worst(loewner_compare(T, mid), second), f"n={n}")
         for n, T in enumerate(absA, 1)
     ]
 

@@ -226,7 +226,11 @@ class OperatorFunction:
         return CoefficientSeries(tuple(self.terms(0, N)), self.tail_bound(N), self._exact(N))
 
     def coefficient0(self) -> np.ndarray:
-        return self.terms(0, 0)[0]
+        """A copy of A_0, which terms(0, 0) builds once and f keeps (functions are immutable)."""
+        A0 = self.__dict__.get("_coefficient0")
+        if A0 is None:
+            A0 = self._coefficient0 = self.terms(0, 0)[0]
+        return A0.copy()
 
 
 class Polynomial(OperatorFunction):

@@ -10,9 +10,12 @@ Validation happens once, where matrices enter bohrlab: ``as_matrix`` in the
 ``OperatorFunction`` constructors, ``thm1_admissible_radius``,
 ``reconstruct_from_transform`` and ``loewner_leq``. The kernels
 (``hermitian_eigen``, ``psd_sqrt``, ``abs_operator``, ``abs_svd``, ``operator_norm``,
-``commutator_norm``, ``normal_defect``, ``is_normal``) take finite complex
-square arrays as given and check nothing; where a Hermitian matrix is needed
-they use the Hermitian part of what they are handed.
+``commutator_norm``, ``normal_defect``, ``is_normal``, ``loewner_compare``) take
+finite complex square arrays as given and check nothing; where a Hermitian
+matrix is needed they use the Hermitian part of what they are handed, except
+``loewner_compare``, whose tolerance reads the norms of A and B as given.
+``checks`` compares the Hermitian matrices it builds itself with
+``loewner_compare``; ``loewner_leq`` is its validated boundary.
 """
 
 from __future__ import annotations
@@ -158,8 +161,20 @@ class LoewnerVerdict:
 
 
 def default_loewner_tol(A: np.ndarray, B: np.ndarray) -> float:
-    norm_A, norm_B = np.linalg.norm(np.stack((A, B)), 2, axis=(1, 2)).tolist()
+    """1e-9 (1 + ||A|| + ||B||), both norms from one batched SVD of the pair."""
+    norm_A, norm_B = np.linalg.svd(np.stack((A, B)), compute_uv=False).max(axis=-1).tolist()
     return 1e-9 * (1.0 + norm_A + norm_B)
+
+
+def _verdict(gap: np.ndarray, tol: float) -> LoewnerVerdict:
+    """The verdict on lambda_min of the Hermitian part of gap = B - A against tol."""
+    eig = hermitian_eigen(gap)
+    return LoewnerVerdict.of_gap(float(eig.eigenvalues[0]), tol, eig.basis[:, 0].copy())
+
+
+def loewner_compare(A: np.ndarray, B: np.ndarray) -> LoewnerVerdict:
+    """loewner_leq for Hermitian A, B of one shape, taken as given: the kernel, which checks nothing."""
+    return _verdict(B - A, default_loewner_tol(A, B))
 
 
 def loewner_leq(A, B) -> LoewnerVerdict:
@@ -173,8 +188,7 @@ def loewner_leq(A, B) -> LoewnerVerdict:
     if A.shape != B.shape:
         raise DimensionMismatch(f"shape mismatch {A.shape} vs {B.shape}")
     tol = default_loewner_tol(A, B)
-    eig = hermitian_eigen(require_hermitian(B) - require_hermitian(A))
-    return LoewnerVerdict.of_gap(float(eig.eigenvalues[0]), tol, eig.basis[:, 0].copy())
+    return _verdict(require_hermitian(B) - require_hermitian(A), tol)
 
 
 def commutator_norm(A: np.ndarray, B: np.ndarray) -> float:

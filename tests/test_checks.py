@@ -1,16 +1,19 @@
 """Verdict logic, radius formulas, proof steps, and the relaxation search."""
 
 import gc
+import inspect
 import sys
 import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
 import pytest
 from reference_loops import loop_bisection_radius
+from sampled_instances import sampled_instances
 
-from bohrlab import checks
+from bohrlab import checks, functions, linalg
 from bohrlab.checks import (
     INITIAL_N,
     MAX_N,
@@ -19,6 +22,7 @@ from bohrlab.checks import (
     ProofStep,
     RADIUS_CAP,
     SQRT_HALF,
+    STEPS,
     Status,
     bombieri_radius,
     build_radius_report,
@@ -45,6 +49,7 @@ from bohrlab.errors import (
     StepClassMismatch,
     StepNotApplicable,
 )
+from bohrlab.fileio import FunctionFile, parse_function_file, serialize_function_file
 from bohrlab.functions import (
     LIFT_ROWS,
     HalfPlaneLift,
@@ -56,7 +61,14 @@ from bohrlab.functions import (
     generate_transfer_instance,
     mobius_witness,
 )
-from bohrlab.linalg import abs_operator, hermitian_part, identity, loewner_leq, random_unitary
+from bohrlab.linalg import (
+    abs_operator,
+    hermitian_part,
+    identity,
+    loewner_compare,
+    loewner_leq,
+    random_unitary,
+)
 
 
 def scalar_majorant(lam: float, r: float) -> float:
@@ -234,7 +246,7 @@ def _count_ranges(f, method: str = "terms") -> list:
 
 def _each_index_built_once(ranges) -> bool:
     """Whether the ranges that grow the |A_n| stacks are disjoint and
-    contiguous from 0; coefficient0() builds (0, 0) and keeps nothing."""
+    contiguous from 0; coefficient0() builds (0, 0) once and keeps it apart."""
     grown = [r for r in ranges if r != (0, 0)]
     return bool(grown) and grown[0][0] == 0 and all(
         later[0] == earlier[1] + 1 for earlier, later in zip(grown, grown[1:])
@@ -913,3 +925,113 @@ def test_weak_norm_bound_search_reports_none_honestly():
         counterexample_search("weak-norm-bound", 2, budget=0, seed=0)
     with pytest.raises(ValueError):
         counterexample_search("drop-everything", 2, budget=5, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the unvalidated Loewner kernel
+# ---------------------------------------------------------------------------
+
+def test_hermitian_part_is_idempotent_to_the_bytes():
+    # complex, real (+0 imaginary parts), sparse with signed zeros, and scaled entries
+    rng = np.random.default_rng(24)
+    for i in range(2000):
+        dim = 1 + i % 8
+        X = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        if i % 4 == 1:
+            X = X.real.astype(np.complex128)
+        elif i % 4 == 2:
+            X[rng.random((dim, dim)) < 0.5] = 0.0
+            X = -X
+        elif i % 4 == 3:
+            X *= 10.0 ** int(rng.integers(-6, 7))
+        H = hermitian_part(X)
+        assert hermitian_part(H).tobytes() == H.tobytes()
+
+
+_COMPARE_SITES = {
+    n for n, line in enumerate(inspect.getsource(checks).splitlines(), 1) if "loewner_compare(" in line
+}
+
+
+def _compare_operands(monkeypatch, instances, radii) -> list:
+    """Every (A, B) checks hands loewner_compare while it audits each function at each radius,
+    with the line of checks.py that hands it over."""
+    seen = []
+
+    def spy(A, B):
+        seen.append((sys._getframe(1).f_lineno, A, B))
+        return loewner_compare(A, B)
+
+    monkeypatch.setattr(checks, "loewner_compare", spy)
+    for f in instances:
+        checks._radius_from_abs(checks._abs_store(f, 0)[0])
+        checks._eq14_chain(f, 4)
+        for step in ProofStep:
+            for r in radii:
+                if STEPS[step].param in ("k", "r"):
+                    try:
+                        checks._validate_step(f, step, r=r)
+                    except StepNotApplicable:
+                        pass
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("group", ["warmed"] + sorted(sampled_instances()))
+def test_loewner_compare_on_the_operands_of_checks_has_the_bytes_of_loewner_leq(group, monkeypatch):
+    instances = [make() for make in WARMED.values()] if group == "warmed" else sampled_instances()[group]
+    seen = _compare_operands(monkeypatch, instances, (0.5, 0.9))
+    if group == "warmed":
+        assert {line for line, _, _ in seen} == _COMPARE_SITES
+    for _, A, B in seen:
+        # each operand is Hermitian to the byte, so validating it would change nothing
+        assert hermitian_part(A).tobytes() == A.tobytes() and hermitian_part(B).tobytes() == B.tobytes()
+        got, want = loewner_compare(A, B), loewner_leq(A, B)
+        assert got.relation is want.relation
+        assert (got.min_gap.hex(), got.tolerance.hex()) == (want.min_gap.hex(), want.tolerance.hex())
+        assert (got.witness is None) == (want.witness is None)
+        if got.witness is not None:
+            assert got.witness.tobytes() == want.witness.tobytes()
+
+
+def test_checks_validate_none_of_their_own_matrices(monkeypatch):
+    # pool-style instance files: thm1 of dims 1-8 with inner degrees up to 4 and 10, loaded back
+    thm1 = [
+        FunctionFile(generate_thm1_instance(dim, degrees=degrees, seed=dim), "thm1")
+        for degrees in ((1, 4), (1, 10)) for dim in range(1, 9)
+    ]
+    thm2 = [FunctionFile(generate_thm2_instance(dim, seed=dim), "thm2") for dim in range(1, 9)]
+    loaded = [parse_function_file(serialize_function_file(ff)) for ff in thm1 + thm2]
+    calls = Counter()
+
+    def counting(name, real):
+        def spy(M):
+            calls[name] += 1
+            return real(M)
+        return spy
+
+    # every module binding of the two validators: linalg's own (loewner_leq reads it there),
+    # and the names checks and functions import
+    for module in (linalg, checks, functions):
+        for name in ("as_matrix", "require_hermitian"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for ff in loaded:
+        f = ff.function
+        if ff.klass == "thm2":
+            for r in (0.5, 0.9):
+                check_thm2_bounds(f, r)
+            continue
+        for step in ProofStep:
+            if "thm1" in STEPS[step].defaults:
+                try:
+                    proof_step_validate(f, step)
+                except StepNotApplicable:
+                    pass
+        build_radius_report(f)
+    # the one validation left is A_0 entering thm1_admissible_radius, once per radius report
+    assert calls == Counter(as_matrix=len(thm1))
+    # the boundary still validates both operands
+    calls.clear()
+    loewner_leq(identity(2), 2.0 * identity(2))
+    assert calls == Counter(as_matrix=2, require_hermitian=2)

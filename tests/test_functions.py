@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from reference_loops import loop_certified_sup, loop_evaluate, loop_terms, loop_transfer_terms
+from sampled_instances import sampled_instances, scaled_polynomial
 
 from bohrlab import functions
 from bohrlab.checks import RUNGS, default_z_samples, majorant, require_hypotheses
@@ -38,16 +39,6 @@ from bohrlab.functions import (
     schur_transform,
 )
 from bohrlab.linalg import abs_operator, frobenius, identity, operator_norm, random_unitary
-
-
-def _scaled_polynomial(dim: int, degree: int, seed: int) -> Polynomial:
-    # coefficient norms 0.3 * 0.5^k keep the sup norm under 0.6
-    rng = np.random.default_rng(seed)
-    coeffs = []
-    for k in range(degree + 1):
-        G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        coeffs.append(0.3 * 0.5**k * G / operator_norm(G))
-    return Polynomial(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +120,7 @@ def test_nonfinite_inputs_are_refused_at_the_boundary(case):
 # ---------------------------------------------------------------------------
 
 def test_polynomial_coefficients_exact_and_truncated():
-    f = _scaled_polynomial(3, 4, seed=0)
+    f = scaled_polynomial(3, 4, seed=0)
     s = f.coefficients(6)
     assert s.exact and s.tail_norm_bound == 0.0 and s.order == 6
     t = f.coefficients(2)
@@ -249,7 +240,7 @@ def test_terms_needs_an_ordered_nonnegative_range(first, last):
 
 
 def test_polynomial_boundary_evaluation():
-    f = _scaled_polynomial(2, 3, seed=1)
+    f = scaled_polynomial(2, 3, seed=1)
     with pytest.raises(OutsideDomain):
         f.evaluate(1.0)
     z = np.exp(0.7j)
@@ -355,19 +346,7 @@ def test_transfer_terms_have_the_bytes_of_the_sequential_loop(state_dim):
             assert _bytes(f.terms(first, last)) == _bytes(loop_transfer_terms(f, first, last))
 
 
-# instances of every class: Mobius lifts of d = 1 to 8 (boundary channels at seed 2),
-# polynomials of degrees 0-5, transfer functions of state_dim 0-4, half-plane lifts
-# of d = 1 (complex beta) to 8
-SAMPLED = {
-    "mobius": [
-        generate_thm1_instance(dim, degrees, seed=seed, allow_boundary=seed == 2)
-        for dim in range(1, 9) for degrees in ((1, 4), (1, 10)) for seed in range(3)
-    ],
-    "polynomial": [_scaled_polynomial(dim, degree, seed=degree) for dim in (1, 2, 5) for degree in range(6)],
-    "transfer": [generate_transfer_instance(dim, s, seed=s) for dim in (1, 2, 4) for s in range(5)],
-    "halfplane": [generate_thm2_instance(dim, seed=seed) for dim in range(1, 9) for seed in range(3)]
-    + [HalfPlaneLift(np.eye(1), [0.4], 0.25, 0.0), HalfPlaneLift([[1j]], [0.1], 0.5, -0.3)],
-}
+SAMPLED = sampled_instances()
 
 
 def _fresh_tail_bound(f, N: int) -> float:
@@ -627,7 +606,7 @@ def test_real_part_bound_fails_outside_the_admissible_region():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("f", [
-    _scaled_polynomial(3, 40, seed=2),
+    scaled_polynomial(3, 40, seed=2),
     generate_thm1_instance(3, seed=2),
     generate_transfer_instance(3, 2, seed=2),
     generate_thm2_instance(3, seed=2),
@@ -641,6 +620,25 @@ def test_coefficient0_is_the_first_series_coefficient(f):
     assert A0.dtype == expected.dtype and A0.tobytes() == expected.tobytes()
     # A_0 is the first term of the formula: no series is built to read it
     assert calls == []
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLED))
+def test_coefficient0_kept_on_the_function_has_the_bytes_of_terms(kind):
+    for f in sampled_instances()[kind]:
+        want = f.terms(0, 0)[0].tobytes()
+        calls = []
+        generate = f.terms
+        f.terms = lambda first, last: calls.append((first, last)) or generate(first, last)
+        try:
+            first = f.coefficient0()
+            assert first.tobytes() == want
+            first[...] = np.nan  # a caller's copy: the next call is unchanged
+            again = f.coefficient0()
+            assert again.tobytes() == want and again is not first
+        finally:
+            del f.terms
+        # built once per function, by terms(0, 0)
+        assert calls == [(0, 0)]
 
 
 def test_schur_transform_vanishes_at_zero_and_contracts():
@@ -687,7 +685,7 @@ def test_reconstruct_guards():
 # ---------------------------------------------------------------------------
 
 def test_dft_guards():
-    f = _scaled_polynomial(2, 2, seed=6)
+    f = scaled_polynomial(2, 2, seed=6)
     with pytest.raises(OutsideDomain):
         coefficients_dft(f, 0.9999, 4, 64)
     with pytest.raises(GridTooCoarse):
@@ -703,7 +701,7 @@ def test_dft_guards():
 
 def test_dft_recovers_polynomial_coefficients():
     # minimal grid keeps the aliasing bounds far above roundoff
-    f = _scaled_polynomial(3, 5, seed=9)
+    f = scaled_polynomial(3, 5, seed=9)
     s = coefficients_dft(f, 0.5, 5, 24)
     assert s.aliasing_bounds is not None and len(s.aliasing_bounds) == 6
     for n in range(6):
@@ -832,7 +830,7 @@ def test_hypothesis_check_rejects_unknown_class():
 
 
 def test_certified_sup_dominates_boundary_samples():
-    f = _scaled_polynomial(2, 4, seed=14)
+    f = scaled_polynomial(2, 4, seed=14)
     bound, worst = certified_sup(f)
     assert abs(worst) <= 1.0 + 1e-12
     rng = np.random.default_rng(0)

@@ -16,6 +16,7 @@ from bohrlab.linalg import (
     hermitian_part,
     identity,
     is_normal,
+    loewner_compare,
     loewner_leq,
     normal_defect,
     operator_norm,
@@ -173,6 +174,37 @@ def test_loewner_tol_has_the_bytes_of_two_separate_norms():
 def test_loewner_rejects_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         loewner_leq(identity(2), identity(3))
+
+
+def test_loewner_leq_validates_what_enters_it():
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for A, B in ((skew, identity(2)), (identity(2), skew)):
+        with pytest.raises(NotHermitian):
+            loewner_leq(A, B)
+    bad = identity(2)
+    bad[0, 1] = np.nan
+    for A, B in ((bad, identity(2)), (identity(2), bad)):
+        with pytest.raises(ValueError):
+            loewner_leq(A, B)
+    with pytest.raises(DimensionMismatch):
+        loewner_leq(np.zeros((2, 3)), np.zeros((2, 3)))
+    # a Hermitian drift within HERMITIAN_RTOL is accepted, and the verdict reads the Hermitian parts
+    near = identity(2) + 1e-14j * skew
+    v = loewner_leq(near, 2.0 * identity(2))
+    assert v.relation is Order.LESS_OR_EQUAL and v.min_gap == pytest.approx(1.0, abs=1e-12)
+
+
+def test_loewner_compare_is_loewner_leq_on_hermitian_operands():
+    eye = identity(2)
+    for A, B, relation in ((np.zeros((2, 2), dtype=np.complex128), eye, Order.LESS_OR_EQUAL),
+                           (2.0 * eye, eye, Order.NOT_LESS_OR_EQUAL), (eye, eye, Order.BOUNDARY)):
+        assert loewner_compare(A, B).relation is relation
+    for seed in range(50):
+        dim = 1 + seed % 8
+        A, B = random_hermitian(dim, 2 * seed), random_hermitian(dim, 2 * seed + 1)
+        got, want = loewner_compare(A, B), loewner_leq(A, B)
+        assert (got.relation, got.min_gap, got.tolerance) == (want.relation, want.min_gap, want.tolerance)
+        assert (got.witness is None and want.witness is None) or got.witness.tobytes() == want.witness.tobytes()
 
 
 def test_commutator_norm_and_is_normal():
