@@ -27,7 +27,7 @@ def main() -> None:
     for i in range(args.count):
         dim = 1 + i % 8
         f = generate_thm1_instance(dim, seed=args.seed + i)
-        guess = thm1_admissible_radius(f.coefficient0())
+        guess = thm1_admissible_radius(f)
         report = build_radius_report(f)
         verdict = check_bohr(f, max(0.0, guess.value - 1e-6))
         print(

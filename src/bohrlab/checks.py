@@ -27,9 +27,6 @@ from .errors import (
 from .linalg import (
     LoewnerVerdict,
     Order,
-    abs_operator,
-    abs_svd,
-    as_matrix,
     commutator_norm,
     hermitian_eigen,
     hermitian_part,
@@ -102,18 +99,17 @@ class BohrVerdict:
 
 
 def majorant(series: CoefficientSeries, r: float):
-    """Partial sum of |A_n| r^n over the whole stored series, with |A_n| by
-    abs_svd, plus the certified scalar tail.
+    """Partial sum of |A_n| r^n over the whole stored series, plus the
+    certified scalar tail tail_norm_bound * r^(order+1) / (1 - r).
 
-    The tail bounds the operator norm of everything beyond the stored
-    order: tail_norm_bound * r^(order+1) / (1 - r).
+    The series enters as Polynomial(series.coeffs), whose constructor
+    validates it; |A_n| is that class's abs_terms, not the rung-sized store,
+    so a series of any order is summed.
     """
     if not 0.0 <= r < 1.0:
         raise OutsideDomain("majorant needs 0 <= r < 1")
-    if not all(np.all(np.isfinite(A)) for A in series.coeffs):
-        raise ValueError("series coefficients must be finite")
-    partial = _sum(abs_svd(np.stack(series.coeffs)), r, 0, series.order)
-    return partial, _tail(series.tail_norm_bound, r, series.order)
+    T = Polynomial(series.coeffs).abs_terms(0, series.order)
+    return _sum(T, r, 0, series.order), _tail(series.tail_norm_bound, r, series.order)
 
 
 def _sum(T: np.ndarray, r: float, first: int, last: int) -> np.ndarray:
@@ -256,31 +252,33 @@ def _radius_from_abs(abs_a0: np.ndarray) -> AdmissibleRadius:
 
     The sqrt formula lambda_min(((I-|A0|)/2)^(1/2)) is always admissible;
     the inverse formula lambda_min((I+2|A0|)^(-1)) is added when
-    |A0| >= I/2 holds (Boundary counts). Ties within 1e-12 are tagged MAX.
+    |A0| >= I/2 holds (Boundary counts). Both read the top eigenvalue x of
+    |A0|, and (1-x)(1+2x)^2 <= 2 on [0, 1), with equality only at x = 1/2, so
+    the inverse formula loses by at most rounding: ties within 1e-12 are MAX.
     """
     dim = abs_a0.shape[0]
     eye = identity(dim)
     S = psd_sqrt((eye - abs_a0) / 2.0)
     r_sqrt = float(hermitian_eigen(S).eigenvalues[0])
-    half_ok = loewner_compare(eye / 2.0, abs_a0).holds
-    if not half_ok:
+    if not loewner_compare(eye / 2.0, abs_a0).holds:
         return AdmissibleRadius(r_sqrt, Branch.SQRT)
     r_inv = float(hermitian_eigen(np.linalg.inv(eye + 2.0 * abs_a0)).eigenvalues[0])
     if abs(r_inv - r_sqrt) <= 1e-12:
         return AdmissibleRadius(max(r_inv, r_sqrt), Branch.MAX)
-    if r_inv > r_sqrt:
-        return AdmissibleRadius(r_inv, Branch.INVERTIBLE)
-    return AdmissibleRadius(r_sqrt, Branch.SQRT)
+    return AdmissibleRadius(r_inv, Branch.INVERTIBLE)
 
 
-def thm1_admissible_radius(A0) -> AdmissibleRadius:
-    """Guaranteed Bohr radius for a normal contraction coefficient A_0."""
-    A0 = as_matrix(A0)
+def thm1_admissible_radius(f) -> AdmissibleRadius:
+    """Guaranteed Bohr radius of f, whose A_0 must be a normal contraction, from the |A_0| in its
+    store; a matrix A_0 is taken as Polynomial([A_0]), whose constructor validates it."""
+    if not isinstance(f, OperatorFunction):
+        f = Polynomial([f])
+    A0 = f.coefficient0()
     if not is_normal(A0):
         raise HypothesisViolated("A_0 must be normal")
     if operator_norm(A0) >= 1.0:
         raise HypothesisViolated("||A_0|| < 1 is required")
-    return _radius_from_abs(abs_operator(A0))
+    return _radius_from_abs(_abs_store(f, 0)[0])
 
 
 def bombieri_radius(lam: float) -> float:
@@ -685,7 +683,7 @@ def empirical_bohr_radius(f: OperatorFunction, tol: float = 1e-6) -> float:
 
 
 def build_radius_report(f: OperatorFunction, tol: float = 1e-6) -> RadiusReport:
-    guaranteed = thm1_admissible_radius(f.coefficient0())
+    guaranteed = thm1_admissible_radius(f)
     empirical = empirical_bohr_radius(f, tol)
     return RadiusReport(
         guaranteed_radius=guaranteed.value,

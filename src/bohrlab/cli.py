@@ -315,7 +315,7 @@ THEOREMS = {
 
 def _guaranteed_radius(f) -> float:
     try:
-        guaranteed = thm1_admissible_radius(f.coefficient0())
+        guaranteed = thm1_admissible_radius(f)
     except BohrlabError as exc:
         raise HypothesisViolated(f"no default radius for this instance ({exc}); pass --r") from exc
     return max(0.0, guaranteed.value - 1e-6)

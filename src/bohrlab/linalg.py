@@ -7,8 +7,8 @@ pure; nothing mutates its inputs. ``hermitian_part``, ``hermitian_eigen``,
 and treat each matrix on its own, with the same arithmetic as a call per matrix.
 
 Validation happens once, where matrices enter bohrlab: ``as_matrix`` in the
-``OperatorFunction`` constructors, ``thm1_admissible_radius``,
-``reconstruct_from_transform`` and ``loewner_leq``. The kernels
+``OperatorFunction`` constructors (a ``Polynomial`` takes a ``thm1_admissible_radius``
+matrix and a ``majorant`` series), ``reconstruct_from_transform`` and ``loewner_leq``. The kernels
 (``hermitian_eigen``, ``psd_sqrt``, ``abs_operator``, ``abs_svd``, ``operator_norm``,
 ``commutator_norm``, ``normal_defect``, ``is_normal``, ``loewner_compare``) take
 finite complex square arrays as given and check nothing; where a Hermitian

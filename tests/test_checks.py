@@ -43,6 +43,7 @@ from bohrlab.checks import (
     xi_argmax,
 )
 from bohrlab.errors import (
+    DimensionMismatch,
     DomainError,
     HypothesisViolated,
     OutsideDomain,
@@ -55,6 +56,7 @@ from bohrlab.functions import (
     HalfPlaneLift,
     MobiusLift,
     Polynomial,
+    TransferRealization,
     certified_sup,
     generate_thm1_instance,
     generate_thm2_instance,
@@ -158,6 +160,19 @@ def test_check_bohr_domain():
         check_bohr(mobius_witness(0.5), 1.0)
     with pytest.raises(OutsideDomain):
         check_bohr(mobius_witness(0.5), -0.1)
+
+
+@pytest.mark.parametrize(
+    "check, f",
+    [
+        (check_bb2_norm_bound, generate_transfer_instance(2, 2, seed=4)),
+        (check_thm2_bounds, generate_thm2_instance(2, seed=5)),
+    ],
+)
+@pytest.mark.parametrize("r", [1.0, -0.1])
+def test_verdicts_refuse_a_radius_outside_the_disk(check, f, r):
+    with pytest.raises(OutsideDomain):
+        check(f, r)
 
 
 @pytest.mark.parametrize(
@@ -409,6 +424,62 @@ def test_radius_formula_rejects_bad_coefficients():
         thm1_admissible_radius(np.diag([1.0]))
 
 
+def test_a_matrix_enters_the_guarantee_as_a_validated_polynomial():
+    A0 = np.diag([0.6, 0.3j])
+    assert thm1_admissible_radius(A0) == thm1_admissible_radius(Polynomial([A0]))
+    with pytest.raises(DimensionMismatch):
+        thm1_admissible_radius(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        thm1_admissible_radius(np.diag([0.5, np.nan]))
+
+
+def _normal_transfer(dim: int, seed: int) -> TransferRealization:
+    """A transfer function with a normal contractive D = Q diag(c) Q*: each channel is the unitary
+    colligation [[-conj(c), s], [s, c]], s = sqrt(1 - |c|^2), with state and output turned by W and Q."""
+    rng = np.random.default_rng(seed)
+    c = np.sqrt(rng.uniform(0.0, 0.98, dim)) * np.exp(2j * np.pi * rng.uniform(size=dim))
+    s = np.sqrt(1.0 - np.abs(c) ** 2)
+    W, Q = random_unitary(dim, rng), random_unitary(dim, rng)
+    U = np.block([[(W * -np.conj(c)) @ W.conj().T, (W * s) @ Q.conj().T],
+                  [(Q * s) @ W.conj().T, (Q * c) @ Q.conj().T]])
+    return TransferRealization(U, dim)
+
+
+# pool-style functions: the campaign's thm1 files (dims 1-8, inner degrees up to 4 and 10), and
+# transfer functions of dims 1-4 whose A_0 is normal
+_GUARANTEED = [
+    *(partial(generate_thm1_instance, dim, degrees=degrees, seed=200 + dim)
+      for degrees in ((1, 4), (1, 10)) for dim in range(1, 9)),
+    *(partial(_normal_transfer, 1 + j % 4, seed=300 + j) for j in range(8)),
+]
+
+
+@pytest.mark.parametrize("make", _GUARANTEED)
+def test_the_guarantee_of_a_function_has_the_bytes_of_abs_operator_of_its_a0(make):
+    f = make()
+    want = checks._radius_from_abs(abs_operator(f.coefficient0()))
+    got = thm1_admissible_radius(f)
+    assert (got.value.hex(), got.branch) == (want.value.hex(), want.branch)
+    # the store it read holds abs_operator(A_0) to the byte
+    assert checks._abs_store(f, 0)[0].tobytes() == abs_operator(f.coefficient0()).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_transfer_store_holds_the_bytes_of_abs_operator_of_its_a0(seed):
+    f = generate_transfer_instance(1 + seed % 4, 1 + (seed // 4) % 4, seed=300 + seed)
+    assert checks._abs_store(f, 0)[0].tobytes() == abs_operator(f.coefficient0()).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_a_search_witness_radius_is_the_guarantee_of_its_function(dim):
+    # the search and the guarantee read one |A_0|; with abs_operator(A_0) on one side and the
+    # Polynomial's abs_svd store on the other, 29 of these 36 radii differed in their last bits
+    for seed in range(12):
+        w = counterexample_search("drop-commutation", dim, budget=20, seed=seed).witness
+        guaranteed = thm1_admissible_radius(w.function)
+        assert (w.radius, w.branch) == (guaranteed.value, guaranteed.branch)
+
+
 def test_bombieri_radius_branches_meet_at_one_half():
     assert abs(bombieri_radius(0.75) - 0.4) <= 1e-15
     assert abs(bombieri_radius(0.3) - np.sqrt(0.35)) <= 1e-15
@@ -452,6 +523,13 @@ def test_xi_argmax_attains_the_envelope():
         assert abs(xi(x0, r) - cor2_rhs(r)) <= 1e-12
         for x in np.linspace(0.0, 0.998, 300):
             assert xi(float(x), r) <= cor2_rhs(r) + 1e-9
+
+
+@pytest.mark.parametrize("call", [partial(chi, 0.5, 1.0), partial(xi, 1.0, 0.5), partial(xi, 0.5, 1.0),
+                                  partial(xi, -0.1, 0.5), partial(xi_argmax, 0.2), partial(xi_argmax, 0.75)])
+def test_scalar_envelopes_refuse_their_domain(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -915,6 +993,9 @@ def test_search_skips_dimension_one_for_structure_relaxations():
     result = counterexample_search("drop-commutation", 1, budget=5, seed=0)
     assert result.witness is None
     assert result.skipped == 5 and result.trials == 5
+    result = counterexample_search("drop-normality", 1, budget=4, seed=0)
+    assert result.witness is None
+    assert result.skipped == 4 and result.trials == 4
 
 
 def test_weak_norm_bound_search_reports_none_honestly():
@@ -1029,9 +1110,48 @@ def test_checks_validate_none_of_their_own_matrices(monkeypatch):
                 except StepNotApplicable:
                     pass
         build_radius_report(f)
-    # the one validation left is A_0 entering thm1_admissible_radius, once per radius report
-    assert calls == Counter(as_matrix=len(thm1))
+    # the radius report reads A_0 and |A_0| from the function it is given, so nothing is validated
+    assert calls == Counter()
     # the boundary still validates both operands
     calls.clear()
     loewner_leq(identity(2), 2.0 * identity(2))
     assert calls == Counter(as_matrix=2, require_hermitian=2)
+
+
+def test_checks_compute_no_abs_of_their_own(monkeypatch):
+    # the class hook abs_terms is the one place that chooses how |A| is computed
+    assert not any(hasattr(checks, name) for name in ("abs_operator", "abs_svd", "as_matrix"))
+    callers = Counter()
+
+    def spying(name, real):
+        def spy(A):
+            callers[name, sys._getframe(1).f_globals["__name__"]] += 1
+            return real(A)
+        return spy
+
+    kernels = {name: getattr(linalg, name) for name in ("abs_operator", "abs_svd")}
+    for module in (linalg, functions):
+        for name, real in kernels.items():
+            monkeypatch.setattr(module, name, spying(name, real))
+    thm1 = [generate_thm1_instance(3, degrees=(1, 10), seed=1), _normal_transfer(2, seed=1)]
+    others = [generate_transfer_instance(2, 2, seed=4), generate_thm2_instance(3, seed=2),
+              Polynomial([0.5 * np.eye(2), [[0, 0.2], [0.1, 0]]])]
+    for f in thm1:
+        check_bohr(f, 0.5)
+        check_bb2_norm_bound(f, 0.5)
+        build_radius_report(f)
+        coefficient_bound_eq14(f, 4)
+    check_cor2(mobius_witness(0.5), 0.5)
+    check_thm2_bounds(others[1], 0.3)
+    for f in thm1 + others:
+        majorant(f.coefficients(8), 0.5)
+        for step in ProofStep:
+            try:
+                checks._validate_step(f, step)
+            except StepNotApplicable:
+                pass
+    for relaxation in ("drop-commutation", "drop-normality", "weak-norm-bound"):
+        counterexample_search(relaxation, 2, budget=3, seed=0)
+    assert not [key for key in callers if key[1] == "bohrlab.checks"]
+    # both kernels ran, each from the class hooks
+    assert set(callers) == {("abs_operator", "bohrlab.functions"), ("abs_svd", "bohrlab.functions")}

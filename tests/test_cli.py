@@ -150,6 +150,14 @@ def test_verify_rejects_halfplane_under_norm_theorems(cli_files, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_thm1_asks_for_a_radius_where_a0_gives_no_guarantee(cli_files, capsys):
+    # the transfer file passes the norm gate, but its A_0 = D is not normal
+    assert main(["verify", cli_files["transfer"]]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "A_0 must be normal" in err and "pass --r" in err
+    assert main(["verify", cli_files["transfer"], "--r", "0.3"]) == EXIT_OK
+
+
 def test_verify_reruns_are_byte_identical(cli_files, tmp_path):
     out = tmp_path / "same.json"
     argv = ["verify", cli_files["pin75"], "--r", "0.4", "--out", str(out)]
@@ -444,6 +452,23 @@ def test_report_requires_input_files():
     assert main(["report"]) == EXIT_ERROR
 
 
+def test_report_refuses_an_unknown_format_from_the_config(tmp_path, capsys):
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps({"verdicts": [_ROW], "summary": {"holds": 1}}), encoding="utf-8")
+    cfg = _write_config(tmp_path / "c.json", {"format": "xml"})
+    assert main(["report", str(path), "--config", cfg]) == EXIT_ERROR
+    assert "format must be" in capsys.readouterr().err
+
+
+def test_report_of_a_record_with_no_verdicts_has_an_empty_histogram(tmp_path, capsys):
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps({"verdicts": [], "summary": {}}), encoding="utf-8")
+    assert main(["report", str(path), "--format", "json"]) == EXIT_OK
+    body = json.loads(capsys.readouterr().out)
+    assert body["histogram"] == {"edges": [], "counts": []}
+    assert body["summary"] == {"holds": 0, "violated": 0, "inconclusive": 0}
+
+
 # ---------------------------------------------------------------------------
 # configuration plumbing
 # ---------------------------------------------------------------------------
@@ -487,6 +512,7 @@ def test_bad_invocations_exit_one(cli_files):
     assert main(["bogus"]) == EXIT_ERROR
     assert main(["verify", cli_files["pin75"], "--r", "1.5"]) == EXIT_ERROR
     assert main(["verify", "/no/such/file.json", "--r", "0.4"]) == EXIT_ERROR
+    assert main(["gen", "--count", "0"]) == EXIT_ERROR
 
 
 # config values a command cannot take: each is (command, config); the value
@@ -514,6 +540,11 @@ MALFORMED_CONFIGS = {
     # 10**15 points need 7.1 PiB, beyond the address space of a process, so
     # the request fails before anything is allocated
     "grid beyond memory": ("sharpness", {"grid": "0.5:0.9:1000000000000000"}),
+    "gen class cor2": ("gen", {"class": "cor2"}),
+    "config is a list": ("gen", ["class", "thm1"]),
+    "count is zero": ("gen", {"count": 0}),
+    "grid spec has two fields": ("sharpness", {"grid": "0.5:0.9"}),
+    "grid count is zero": ("sharpness", {"grid": "0.5:0.9:0"}),
 }
 
 

@@ -39,6 +39,7 @@ from bohrlab.functions import (
     MobiusLift,
     Polynomial,
     TransferRealization,
+    coefficients_dft,
     generate_thm1_instance,
     generate_thm2_instance,
     generate_transfer_instance,
@@ -73,6 +74,25 @@ def test_matrix_json_validation():
     d["entries"] = d["entries"][:-1]
     with pytest.raises(DimensionMismatch):
         json_to_matrix(d)
+
+
+def test_matrix_json_refuses_what_is_no_square_matrix():
+    with pytest.raises(DimensionMismatch):
+        matrix_to_json(np.zeros((2, 3)))
+    for payload in ([[0.5, 0.0]], {"dim": "1", "entries": [[0.5, 0.0]]}, {"dim": 1}):
+        with pytest.raises(ValueError):
+            json_to_matrix(payload)
+
+
+def test_function_files_refuse_an_unknown_class_or_kind():
+    with pytest.raises(ValueError, match="class"):
+        function_file_to_json(FunctionFile(mobius_witness(0.5), "thm9"))
+
+    class Custom(Polynomial):
+        kind = "custom"
+
+    with pytest.raises(ValueError, match="kind"):
+        function_file_to_json(FunctionFile(Custom([np.eye(1)]), "polynomial"))
 
 
 def _all_kind_files():
@@ -130,6 +150,12 @@ def test_series_json_shape():
     assert d["dim"] == 1 and d["order"] == 4
     assert len(d["coeffs"]) == 5
     assert d["aliasing_bounds"] is None and d["exact"] is False
+
+
+def test_series_json_carries_the_aliasing_bounds_of_a_dft_series():
+    s = coefficients_dft(mobius_witness(0.5), 0.5, 3, 16)
+    d = series_to_json(s)
+    assert d["aliasing_bounds"] == [float(b) for b in s.aliasing_bounds] and len(d["aliasing_bounds"]) == 4
 
 
 def test_verdict_json_has_exactly_the_report_keys():

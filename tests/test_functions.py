@@ -15,6 +15,7 @@ from bohrlab.errors import (
     DimensionMismatch,
     GridTooCoarse,
     HypothesisViolated,
+    NotInvertible,
     OutsideDomain,
 )
 from bohrlab.functions import (
@@ -54,6 +55,13 @@ def test_series_validation():
         CoefficientSeries((np.eye(2), np.eye(3)), 0.0, exact=True)
     with pytest.raises(ValueError):
         CoefficientSeries((np.eye(2),), np.inf, exact=False)
+
+
+def test_a_function_needs_a_coefficient_and_a_dimension():
+    with pytest.raises(ValueError):
+        Polynomial([])
+    with pytest.raises(DimensionMismatch):
+        functions.OperatorFunction(0)
 
 
 def test_function_samples_validation():
@@ -665,6 +673,18 @@ def test_schur_transform_requires_strict_contractions():
         schur_transform(f, 0.1)
 
 
+def test_schur_transform_requires_a_contractive_value():
+    # ||A_0|| = 0.5, but f(0.9) = 0.5 I + 0.81 I is no contraction
+    with pytest.raises(HypothesisViolated, match="f\\(z\\)"):
+        schur_transform(Polynomial([0.5 * np.eye(2), 0.9 * np.eye(2)]), 0.9)
+
+
+def test_schur_transform_refuses_a_numerically_singular_denominator():
+    # I - A_0* f(z) = diag(2e-14, 1) for the constant f = A_0: condition number 5e13 > CONDITION_CAP
+    with pytest.raises(NotInvertible):
+        schur_transform(Polynomial([np.diag([1.0 - 1e-14, 0.0])]), 0.1)
+
+
 def test_reconstruct_guards():
     pts = np.array([0.2])
     phi = FunctionSamples(pts, np.zeros((1, 2, 2)))
@@ -678,6 +698,14 @@ def test_reconstruct_guards():
         reconstruct_from_transform(A0, bad)
     with pytest.raises(DimensionMismatch):
         reconstruct_from_transform(np.diag([0.1, 0.6, 0.2]), phi)
+
+
+def test_reconstruct_requires_contractions():
+    pts = np.array([0.2])
+    with pytest.raises(HypothesisViolated, match="A_0"):
+        reconstruct_from_transform(np.diag([0.1, 1.0]), FunctionSamples(pts, np.zeros((1, 2, 2))))
+    with pytest.raises(HypothesisViolated, match="phi"):
+        reconstruct_from_transform(np.diag([0.1, 0.6]), FunctionSamples(pts, np.diag([0.1, 1.5])[None]))
 
 
 # ---------------------------------------------------------------------------
@@ -827,6 +855,11 @@ def test_report_dict_keys_and_unset_fields_per_class(klass):
 def test_hypothesis_check_rejects_unknown_class():
     with pytest.raises(ValueError):
         hypothesis_check(mobius_witness(0.5), "thm3")
+
+
+def test_certified_sup_takes_polynomials_only():
+    with pytest.raises(HypothesisViolated):
+        certified_sup(mobius_witness(0.5))
 
 
 def test_certified_sup_dominates_boundary_samples():

@@ -238,6 +238,11 @@ def test_random_unitary_is_unitary_and_seeded():
     assert not np.array_equal(random_unitary(5, 42), random_unitary(5, 43))
 
 
+def test_random_unitary_needs_a_dimension():
+    with pytest.raises(DimensionMismatch):
+        random_unitary(0, 0)
+
+
 def test_random_hermitian_seeded():
     H = random_hermitian(6, 9)
     assert frobenius(H - H.conj().T) == 0.0

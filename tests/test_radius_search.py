@@ -1,5 +1,6 @@
 """empirical_bohr_radius against the bisection it replays, on fake check_bohr
-verdicts: any monotone Holds/Violated boundary, with adversarial lhs_extreme."""
+verdicts: any monotone Holds/Violated boundary, with adversarial lhs_extreme;
+and the branch the guaranteed radius takes for any |A_0| >= I/2."""
 
 import bisect
 
@@ -8,7 +9,8 @@ import pytest
 from reference_loops import loop_bisection_radius
 
 from bohrlab import checks
-from bohrlab.checks import INITIAL_N, RADIUS_CAP, BohrVerdict, Status, empirical_bohr_radius
+from bohrlab.checks import INITIAL_N, RADIUS_CAP, BohrVerdict, Branch, Status, empirical_bohr_radius
+from bohrlab.linalg import hermitian_part, random_unitary
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -73,3 +75,15 @@ def test_empirical_radius_replays_the_bisection_on_any_monotone_boundary(fake, t
         expected = loop_bisection_radius(None, tol)
     assert radius.hex() == expected.hex()
     assert probes <= 2 * len(calls)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@hypothesis.given(
+    eigenvalues=st.lists(st.floats(0.5 - 1e-9, 1.0, exclude_max=True), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_inverse_formula_is_never_beaten_where_it_applies(eigenvalues, seed):
+    # (1-x)(1+2x)^2 <= 2 on [0, 1), so 1/(1+2x) >= sqrt((1-x)/2) up to rounding, which the tie test absorbs
+    Q = random_unitary(len(eigenvalues), seed)
+    abs_a0 = hermitian_part((Q * np.array(eigenvalues)) @ Q.conj().T)
+    assert checks._radius_from_abs(abs_a0).branch in (Branch.INVERTIBLE, Branch.MAX)
