@@ -27,11 +27,9 @@ from .errors import (
 from .linalg import (
     LoewnerVerdict,
     Order,
-    commutator_norm,
     hermitian_eigen,
     hermitian_part,
     identity,
-    is_normal,
     loewner_compare,
     normal_defect,
     operator_norm,
@@ -262,19 +260,19 @@ def _radius_from_abs(abs_a0: np.ndarray) -> AdmissibleRadius:
     r_sqrt = float(hermitian_eigen(S).eigenvalues[0])
     if not loewner_compare(eye / 2.0, abs_a0).holds:
         return AdmissibleRadius(r_sqrt, Branch.SQRT)
-    r_inv = float(hermitian_eigen(np.linalg.inv(eye + 2.0 * abs_a0)).eigenvalues[0])
+    r_inv = float(hermitian_eigen(hermitian_part(np.linalg.inv(eye + 2.0 * abs_a0))).eigenvalues[0])
     if abs(r_inv - r_sqrt) <= 1e-12:
         return AdmissibleRadius(max(r_inv, r_sqrt), Branch.MAX)
     return AdmissibleRadius(r_inv, Branch.INVERTIBLE)
 
 
 def thm1_admissible_radius(f) -> AdmissibleRadius:
-    """Guaranteed Bohr radius of f, whose A_0 must be a normal contraction, from the |A_0| in its
-    store; a matrix A_0 is taken as Polynomial([A_0]), whose constructor validates it."""
+    """Guaranteed Bohr radius of f, whose A_0 must be a contraction normal within the thm1 gate's
+    HYPOTHESIS_TOL, from its stored |A_0|; a matrix A_0 is taken as Polynomial([A_0]), which validates it."""
     if not isinstance(f, OperatorFunction):
         f = Polynomial([f])
     A0 = f.coefficient0()
-    if not is_normal(A0):
+    if normal_defect(A0) > HYPOTHESIS_TOL:
         raise HypothesisViolated("A_0 must be normal")
     if operator_norm(A0) >= 1.0:
         raise HypothesisViolated("||A_0|| < 1 is required")
@@ -418,7 +416,7 @@ def _gram_verdict(f, left_of, samples) -> tuple[LoewnerVerdict, complex]:
         fz = f.sample(block).values
         L = left_of(fz, A0)
         R = fz - A0
-        eig = hermitian_eigen(L.conj().swapaxes(-1, -2) @ L - R.conj().swapaxes(-1, -2) @ R)
+        eig = hermitian_eigen(hermitian_part(L.conj().swapaxes(-1, -2) @ L - R.conj().swapaxes(-1, -2) @ R))
         gaps.append(eig.eigenvalues[:, 0])
         vecs.append(eig.basis[:, :, 0])
     gaps = np.concatenate(gaps)
@@ -522,7 +520,7 @@ def _validate_step(
         A0 = f.coefficient0()
         P = hermitian_part(A0.conj().T @ A0)
         S = _powers_sum(P, k)
-        gap2 = hermitian_part(eye - P)
+        gap2 = eye - P
         if step is ProofStep.EQ9:
             lhs = hermitian_part(sum(A.conj().T @ A for A in f.terms(1, k)))
             rhs = hermitian_part(gap2 @ gap2 @ S)
@@ -549,7 +547,7 @@ def _validate_step(
             rhs = hermitian_part(r * gap2 @ np.linalg.inv(eye - r * absA0))
         elif step is ProofStep.EQ12:
             absA0 = _abs_store(f, 0)[0]
-            rhs = psd_sqrt(eye - absA0 @ absA0) * (r / np.sqrt(1.0 - r * r))
+            rhs = psd_sqrt(hermitian_part(eye - absA0 @ absA0)) * (r / np.sqrt(1.0 - r * r))
         elif step is ProofStep.EQ2:
             gap = hermitian_part(eye - f.coefficient0())
             rhs = 4.0 * hermitian_part(gap @ gap) * (r / (1.0 - r))
@@ -570,7 +568,7 @@ def _eq14_chain(f: OperatorFunction, max_n: int) -> list[ProofStepReport]:
     absA0, *absA = _abs_store(f, max_n)[: max_n + 1]
     eye = identity(f.dim)
     mid = hermitian_part(eye - absA0 @ absA0)
-    upper = hermitian_part(2.0 * (eye - absA0))
+    upper = 2.0 * (eye - absA0)
     second = loewner_compare(mid, upper)
     return [
         ProofStepReport(ProofStep.EQ14, float(n), _worst(loewner_compare(T, mid), second), f"n={n}")
@@ -754,7 +752,6 @@ class SearchResult:
     budget: int
     seed: int
     trials: int
-    skipped: int
     witness: SearchWitness | None
 
 
@@ -773,33 +770,28 @@ def _ginibre(rng, dim: int, scale: float) -> np.ndarray:
     return scale * G / np.sqrt(2.0 * dim)
 
 
-def _drop_commutation_instance(dim: int, rng) -> Polynomial | None:
+def _drop_commutation_instance(dim: int, rng) -> Polynomial:
     """A_0 normal (PSD diagonal in a random basis) plus a rank-one A_1
-    mapping the top channel of A_0 into a low one.
+    mapping the top channel of A_0 into a low one, for dim >= 2.
 
     |A_1| then loads entirely on the top channel while the sup norm only
     pays a sub-additive cost, the shape that breaks the commuting-class
     radius; parameter windows keep every channel above 1/2 after the
-    Schur-edge rescale so the inverse branch stays selected.
+    Schur-edge rescale so the inverse branch stays selected. A_0 and A_1
+    never commute: before the rescale ||[A_0, A_1]||_F = c |d_0 - d_low| >= 0.05.
     """
-    if dim < 2:
-        return None
     Q = random_unitary(dim, rng)
     d = np.concatenate(([rng.uniform(0.88, 0.93)], rng.uniform(0.55, 0.68, dim - 1)))
     A0 = (Q * d) @ Q.conj().T
     c = rng.uniform(0.25, 0.35)
     low = 1 + int(rng.integers(dim - 1))
     A1 = c * np.outer(Q[:, low], Q[:, 0].conj())
-    f = _scale_to_schur_edge([A0, A1])
-    A0s = f.coeffs[0]
-    if max(commutator_norm(A0s, A) for A in f.coeffs[1:]) <= 1e-8:
-        return None
-    return f
+    return _scale_to_schur_edge([A0, A1])
 
 
-def _drop_normality_instance(dim: int, rng) -> Polynomial | None:
-    if dim < 2:
-        return None
+def _drop_normality_instance(dim: int, rng) -> Polynomial:
+    """A_0 a Ginibre matrix plus a strictly upper Ginibre part, for dim >= 2, so non-normal with
+    probability 1, and A_n = c1 A_0 + c2 A_0^2, which commute with A_0."""
     A0 = _ginibre(rng, dim, rng.uniform(0.5, 0.9))
     A0 += np.triu(_ginibre(rng, dim, 0.8), k=1)
     degree = int(rng.integers(1, 3))
@@ -807,10 +799,7 @@ def _drop_normality_instance(dim: int, rng) -> Polynomial | None:
     for _ in range(degree):
         c1, c2 = rng.uniform(-0.8, 0.8, 2)
         coeffs.append(c1 * A0 + c2 * A0 @ A0)
-    f = _scale_to_schur_edge(coeffs)
-    if normal_defect(f.coeffs[0]) <= 1e-8:
-        return None
-    return f
+    return _scale_to_schur_edge(coeffs)
 
 
 def counterexample_search(
@@ -818,16 +807,18 @@ def counterexample_search(
 ) -> SearchResult:
     """Random hunt for a majorant violation under one relaxed hypothesis.
 
-    Each trial builds an instance violating exactly the named hypothesis
-    (non-qualifying draws are skipped but still consume budget), then
-    tests check_bohr at the radius the A_0 formula would have guaranteed.
+    Each trial builds an instance violating exactly the named hypothesis,
+    by construction, then tests check_bohr at the radius the A_0 formula
+    would have guaranteed. At dim 1 every coefficient commutes and is
+    normal, so drop-commutation and drop-normality need dim >= 2 (ValueError).
     Deterministic in seed; a None witness is only "none found in budget",
     never a general claim.
     """
     relaxation = Relaxation(relaxation)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    skipped = 0
+    if dim < 2 and relaxation is not Relaxation.WEAK_NORM_BOUND:
+        raise ValueError(f"{relaxation.value} needs dim >= 2, got {dim}")
     for trial in range(budget):
         # child `trial` of SeedSequence(seed).spawn(budget), built alone
         child = np.random.SeedSequence(seed, spawn_key=(trial,))
@@ -839,12 +830,9 @@ def counterexample_search(
                 f = _drop_commutation_instance(dim, rng)
             else:
                 f = _drop_normality_instance(dim, rng)
-        if f is None:
-            skipped += 1
-            continue
         radius = _radius_from_abs(_abs_store(f, 0)[0])
         verdict = check_bohr(f, radius.value)
         if verdict.status is Status.VIOLATED:
             witness = SearchWitness(trial, f, radius.value, radius.branch, verdict)
-            return SearchResult(relaxation, dim, budget, seed, trial + 1, skipped, witness)
-    return SearchResult(relaxation, dim, budget, seed, budget, skipped, None)
+            return SearchResult(relaxation, dim, budget, seed, trial + 1, witness)
+    return SearchResult(relaxation, dim, budget, seed, budget, None)

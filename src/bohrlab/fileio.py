@@ -278,7 +278,6 @@ def search_result_to_json(res: SearchResult) -> dict:
         "budget": int(res.budget),
         "seed": int(res.seed),
         "trials": int(res.trials),
-        "skipped": int(res.skipped),
         "witness": None,
     }
     if res.witness is not None:

@@ -11,9 +11,9 @@ Validation happens once, where matrices enter bohrlab: ``as_matrix`` in the
 matrix and a ``majorant`` series), ``reconstruct_from_transform`` and ``loewner_leq``. The kernels
 (``hermitian_eigen``, ``psd_sqrt``, ``abs_operator``, ``abs_svd``, ``operator_norm``,
 ``commutator_norm``, ``normal_defect``, ``is_normal``, ``loewner_compare``) take
-finite complex square arrays as given and check nothing; where a Hermitian
-matrix is needed they use the Hermitian part of what they are handed, except
-``loewner_compare``, whose tolerance reads the norms of A and B as given.
+finite complex square arrays as given and check nothing. The code that builds a matrix a kernel
+needs Hermitian makes it so, once, with ``hermitian_part``: ``hermitian_eigen`` and ``psd_sqrt``
+read only its lower triangle.
 ``checks`` compares the Hermitian matrices it builds itself with
 ``loewner_compare``; ``loewner_leq`` is its validated boundary.
 """
@@ -74,9 +74,9 @@ class EigenDecomposition:
 
 
 def hermitian_eigen(H: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of the Hermitian part of H, eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian H, taken as given, eigenvalues ascending."""
     try:
-        w, V = np.linalg.eigh(hermitian_part(H))
+        w, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return EigenDecomposition(eigenvalues=w, basis=V)
@@ -89,7 +89,7 @@ def operator_norm(A: np.ndarray) -> float:
 
 def abs_operator(A: np.ndarray) -> np.ndarray:
     """|A| = (A*A)^{1/2}, the PSD factor in the polar decomposition."""
-    return psd_sqrt(A.conj().swapaxes(-1, -2) @ A)
+    return psd_sqrt(hermitian_part(A.conj().swapaxes(-1, -2) @ A))
 
 
 def abs_svd(A: np.ndarray) -> np.ndarray:
@@ -105,7 +105,8 @@ PSD_CLAMP_RTOL = 1e-12
 
 
 def psd_sqrt(P: np.ndarray) -> np.ndarray:
-    """PSD square root of the Hermitian part of P via the spectral calculus.
+    """PSD square root of a Hermitian P, taken as given, via the spectral calculus; the root is made
+    Hermitian, since V diag(sqrt(w)) V* is not to the byte.
 
     Eigenvalues below ``PSD_CLAMP_RTOL * lambda_max`` of their own matrix
     are treated as exact zeros so that |A| of a rank-deficient A stays
@@ -167,7 +168,7 @@ def default_loewner_tol(A: np.ndarray, B: np.ndarray) -> float:
 
 
 def _verdict(gap: np.ndarray, tol: float) -> LoewnerVerdict:
-    """The verdict on lambda_min of the Hermitian part of gap = B - A against tol."""
+    """The verdict on lambda_min of the Hermitian gap = B - A against tol."""
     eig = hermitian_eigen(gap)
     return LoewnerVerdict.of_gap(float(eig.eigenvalues[0]), tol, eig.basis[:, 0].copy())
 

@@ -13,6 +13,7 @@ import pytest
 from reference_loops import loop_bisection_radius
 from sampled_instances import sampled_instances
 
+import bohrlab
 from bohrlab import checks, functions, linalg
 from bohrlab.checks import (
     INITIAL_N,
@@ -50,7 +51,8 @@ from bohrlab.errors import (
     StepClassMismatch,
     StepNotApplicable,
 )
-from bohrlab.fileio import FunctionFile, parse_function_file, serialize_function_file
+from bohrlab.cli import main
+from bohrlab.fileio import FunctionFile, parse_function_file, save_function_file, serialize_function_file
 from bohrlab.functions import (
     LIFT_ROWS,
     HalfPlaneLift,
@@ -61,6 +63,7 @@ from bohrlab.functions import (
     generate_thm1_instance,
     generate_thm2_instance,
     generate_transfer_instance,
+    hypothesis_check,
     mobius_witness,
 )
 from bohrlab.linalg import (
@@ -955,20 +958,21 @@ def test_drop_commutation_search_finds_a_witness():
 def test_search_is_deterministic_in_seed():
     a = counterexample_search("drop-commutation", 2, budget=10, seed=1)
     b = counterexample_search("drop-commutation", 2, budget=10, seed=1)
-    assert a.trials == b.trials and a.skipped == b.skipped
+    assert a.trials == b.trials
     assert a.witness.radius == b.witness.radius
     assert a.witness.verdict.lhs_extreme == b.witness.verdict.lhs_extreme
 
 
-# (relaxation, dim, budget, seed) -> (trials, skipped, witness trial, radius),
-# as counterexample_search returned them when it spawned every seed up front
+# (relaxation, dim, budget, seed) -> (trials, witness trial, radius),
+# as counterexample_search returned them when it spawned every seed up front;
+# None marks a request refused before any trial seed is built
 SEARCHES = {
-    ("drop-commutation", 2, 10, 0): (3, 0, 2, 0.35252259164631483),
-    ("drop-commutation", 2, 10, 3): (2, 0, 1, 0.35491008016461517),
-    ("drop-commutation", 4, 10, 1): (2, 0, 1, 0.3538647864780884),
-    ("drop-normality", 3, 20, 2): (20, 0, None, None),
-    ("weak-norm-bound", 2, 5, 0): (5, 0, None, None),
-    ("drop-commutation", 1, 3, 0): (3, 3, None, None),
+    ("drop-commutation", 1, 3, 0): None,
+    ("drop-commutation", 2, 10, 0): (3, 2, 0.35252259164631483),
+    ("drop-commutation", 2, 10, 3): (2, 1, 0.35491008016461517),
+    ("drop-commutation", 4, 10, 1): (2, 1, 0.3538647864780884),
+    ("drop-normality", 3, 20, 2): (20, None, None),
+    ("weak-norm-bound", 2, 5, 0): (5, None, None),
 }
 
 
@@ -978,10 +982,20 @@ def test_search_builds_each_trial_seed_alone(case, monkeypatch):
         def spawn(self, n_children):
             raise AssertionError("spawn builds every child seed up front")
 
+    class NoSeed(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a refused request built a trial seed")
+
+    expected = SEARCHES[case]
+    if expected is None:
+        monkeypatch.setattr(np.random, "SeedSequence", NoSeed)
+        with pytest.raises(ValueError, match="needs dim >= 2"):
+            counterexample_search(*case)
+        return
     monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
     result = counterexample_search(*case)
-    trials, skipped, trial, radius = SEARCHES[case]
-    assert (result.trials, result.skipped) == (trials, skipped)
+    trials, trial, radius = expected
+    assert result.trials == trials
     if trial is None:
         assert result.witness is None
     else:
@@ -989,13 +1003,25 @@ def test_search_builds_each_trial_seed_alone(case, monkeypatch):
         assert result.witness.radius == pytest.approx(radius, rel=1e-9, abs=0.0)
 
 
-def test_search_skips_dimension_one_for_structure_relaxations():
-    result = counterexample_search("drop-commutation", 1, budget=5, seed=0)
-    assert result.witness is None
-    assert result.skipped == 5 and result.trials == 5
-    result = counterexample_search("drop-normality", 1, budget=4, seed=0)
-    assert result.witness is None
-    assert result.skipped == 4 and result.trials == 4
+def test_search_refuses_dimension_one_for_structure_relaxations():
+    # at dim 1 every coefficient commutes and is normal: no draw can relax either hypothesis
+    for relaxation in ("drop-commutation", "drop-normality"):
+        with pytest.raises(ValueError, match="needs dim >= 2"):
+            counterexample_search(relaxation, 1, budget=3, seed=0)
+    # the norm relaxation has scalar instances
+    assert counterexample_search("weak-norm-bound", 1, budget=2, seed=0).trials == 2
+
+
+def test_search_skips_dimension_one_for_structure_relaxations(monkeypatch):
+    # dim 1 is skipped before any draw: neither structure builder is ever called
+    def no_draw(dim, rng):
+        raise AssertionError("a dim-1 structure relaxation drew an instance")
+
+    monkeypatch.setattr(checks, "_drop_commutation_instance", no_draw)
+    monkeypatch.setattr(checks, "_drop_normality_instance", no_draw)
+    for relaxation in ("drop-commutation", "drop-normality"):
+        with pytest.raises(ValueError):
+            counterexample_search(relaxation, 1, budget=3, seed=0)
 
 
 def test_weak_norm_bound_search_reports_none_honestly():
@@ -1155,3 +1181,61 @@ def test_checks_compute_no_abs_of_their_own(monkeypatch):
     assert not [key for key in callers if key[1] == "bohrlab.checks"]
     # both kernels ran, each from the class hooks
     assert set(callers) == {("abs_operator", "bohrlab.functions"), ("abs_svd", "bohrlab.functions")}
+
+
+def test_the_eigen_kernels_are_handed_only_hermitian_matrices(tmp_path, monkeypatch, capsys):
+    # hermitian_eigen and psd_sqrt take their input as given: the code that builds a matrix makes it
+    # Hermitian, so each argument from a bohrlab caller equals its conjugate transpose entry for entry
+    callers = Counter()
+    bad = []
+
+    def spying(name, real):
+        def spy(H):
+            caller = sys._getframe(1).f_code.co_qualname
+            callers[name, caller] += 1
+            if not np.array_equal(H, H.conj().swapaxes(-1, -2)):
+                bad.append((name, caller))
+            return real(H)
+        return spy
+
+    # every module binding: linalg's own (psd_sqrt and _verdict read them there), and the names
+    # the package, checks and functions import
+    kernels = {name: getattr(linalg, name) for name in ("hermitian_eigen", "psd_sqrt")}
+    for module in (bohrlab, linalg, checks, functions):
+        for name, real in kernels.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spying(name, real))
+    # pool-style thm1 files through the CLI, inner degrees up to 4 and 10
+    for degrees in ((1, 4), (1, 10)):
+        for dim in (1, 2, 4, 8):
+            path = str(tmp_path / f"thm1_{dim}_{degrees[1]}.json")
+            f = generate_thm1_instance(dim, degrees=degrees, seed=dim)
+            save_function_file(path, FunctionFile(f, "thm1", dim, hypothesis_check(f, "thm1").to_dict()))
+            for command in ("verify", "radius", "proofcheck"):
+                assert main([command, path, "--out", str(tmp_path / f"{command}.json")]) == 0
+    capsys.readouterr()
+    # the four verdict-mix kinds
+    rng = np.random.default_rng(5)
+    for dim in (1, 3):
+        Q = random_unitary(dim, seed=dim)
+        coeffs = [(Q * rng.uniform(0.3, 0.95, dim)) @ Q.conj().T]
+        coeffs += [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(2)]
+        p = Polynomial([c / (1.001 * certified_sup(Polynomial(coeffs))[0]) for c in coeffs])
+        check_bohr(p, thm1_admissible_radius(p.coefficient0()).value)
+        check_bohr(generate_thm1_instance(dim, degrees=(1, 10), seed=dim), 0.6)
+        check_thm2_bounds(generate_thm2_instance(dim, seed=dim), 0.6)
+        check_bb2_norm_bound(generate_transfer_instance(dim, 2, seed=dim), 0.6)
+        hypothesis_check(generate_thm2_instance(dim, seed=dim + 1), "thm2")
+    for relaxation in ("drop-commutation", "drop-normality", "weak-norm-bound"):
+        counterexample_search(relaxation, 2, budget=2, seed=0)
+    # the boundary makes Hermitian what it validates, drift within HERMITIAN_RTOL, before it decides
+    U = random_unitary(3, seed=2)
+    near = U + U.conj().T + 1e-13j * np.triu(np.ones((3, 3)), 1)
+    assert not np.array_equal(near, near.conj().T)
+    loewner_leq(near, 3.0 * identity(3))
+    assert bad == []
+    # every builder that hands a kernel a product takes its Hermitian part there
+    assert {caller for _, caller in callers} >= {
+        "_adaptive_bohr", "_radius_from_abs", "_gram_verdict", "_validate_step", "abs_operator",
+        "psd_sqrt", "_verdict", "hypothesis_check",
+    }

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bohrlab import Status, check_bohr, load_function_file
-from bohrlab.checks import MAX_N, require_hypotheses
+from bohrlab.checks import MAX_N, require_hypotheses, thm1_admissible_radius
 from bohrlab.cli import _config_hash, build_parser, effective_config, main
 from bohrlab.errors import HypothesisViolated
 from bohrlab.fileio import FunctionFile, canonical_dumps, save_function_file
@@ -325,6 +325,19 @@ def test_sharpness_requires_a_grid():
     assert main(["sharpness"]) == EXIT_ERROR
 
 
+def test_the_guarantee_reads_normality_at_the_thm1_gate_tolerance(tmp_path):
+    # normal_defect(A_0) = 8.4e-10: within the gate's HYPOTHESIS_TOL = 1e-8, so every thm1
+    # command takes it, the guaranteed radius too (is_normal's 1e-10 once refused it there alone)
+    f = Polynomial([np.array([[0.5, 4e-9], [0.0, 0.3]]), 0.2 * np.eye(2)])
+    require_hypotheses(f, "thm1")
+    assert thm1_admissible_radius(f).value > 0.5
+    path = str(tmp_path / "near_normal.json")
+    save_function_file(path, FunctionFile(f, "polynomial"))
+    for argv in (["proofcheck", path, "--steps", "eq11,eq12"], ["radius", path],
+                 ["verify", path, "--theorem", "thm1"]):
+        assert main([*argv, "--out", str(tmp_path / f"{argv[0]}.json")]) == EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------
@@ -362,8 +375,19 @@ def test_search_none_is_exit_zero(tmp_path, capsys):
     assert summary["search"]["trials"] == 5
 
 
-def test_search_requires_a_relaxation():
+def test_search_requires_a_relaxation(capsys):
     assert main(["search", "--dim", "2"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "error: search needs --relax (drop-commutation | drop-normality | weak-norm-bound)\n" in err
+
+
+@pytest.mark.parametrize("relax", ["drop-commutation", "drop-normality"])
+def test_search_refuses_dimension_one_for_structure_relaxations(relax, tmp_path, capsys):
+    out = tmp_path / "d1"
+    code = main(["search", "--relax", relax, "--dim", "1", "--budget", "3", "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert f"error: {relax} needs dim >= 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
