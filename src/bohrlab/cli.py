@@ -100,55 +100,71 @@ CONFIG_DEFAULTS = {
 CONFIG_ALIASES = {"seeds": "seed", "tolerances": "tol"}
 
 
-def _load_config_file(path: str) -> dict:
-    raw = json.loads(read_text(path))
-    if not isinstance(raw, dict):
-        raise ValueError("config file must hold a JSON object")
-    out = {}
-    for key, value in raw.items():
-        key = CONFIG_ALIASES.get(key, key)
-        if key not in CONFIG_DEFAULTS:
-            raise ValueError(f"unknown config key {key!r}")
-        out[key] = value
-    return out
+def _typed(value, kind):
+    """value as kind: a JSON type, or [kind] for a list of them. An integer
+    is a number too; a boolean is neither, though Python counts it an int."""
+    if isinstance(kind, list):
+        return [_typed(x, kind[0]) for x in _typed(value, list)]
+    if type(value) is not kind and (kind, type(value)) != (float, int):
+        raise TypeError
+    return kind(value)
 
 
 def _grid(spec) -> list[float]:
     """The lam values of a grid: start:stop:count, a comma list, or a list of numbers."""
-    if not isinstance(spec, str):
-        return [float(x) for x in spec]
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError("grid spec must be start:stop:count or a comma list")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ValueError("grid count must be >= 1")
-        return [float(x) for x in np.linspace(start, stop, count)]
-    return [float(x) for x in spec.split(",") if x]
+    if type(spec) is not str:
+        return _typed(spec, [float])
+    if ":" not in spec:
+        return [float(x) for x in spec.split(",") if x]
+    start, stop, count = spec.split(":")
+    return [float(x) for x in np.linspace(float(start), float(stop), int(count))]
 
 
-# the conversion a command applies to each value, tried where the config is
-# read so that a value of the wrong type is a clean error; None passes for
-# the keys whose default is None
-_CONVERSIONS = {
-    **dict.fromkeys(("count", "seed", "k", "samples", "budget", "pin_degree", "state_dim"), int),
-    **dict.fromkeys(("tol", "delta", "pin_lambda"), float),
-    "dims": lambda v: [int(d) for d in v],
-    "radii": lambda v: [float(r) for r in v],
-    "steps": list,
-    "grid": _grid,
-    "output_dir": os.fspath,
+def _one_of(*names):
+    return str, names.__contains__, f"one of {', '.join(names)}"
+
+
+# key: (the JSON type its value is converted to, None to keep it as given;
+# the test the converted value must pass, or None; what the value must be).
+# A key whose default is None also takes None. grid keeps its spec, which the
+# config hash has always recorded, and sharpness parses it.
+_CONFIG_TYPES = {
+    "class": _one_of("thm1", "thm2", "transfer"),
+    "dims": ([int], lambda ds: ds and min(ds) >= 1, "a non-empty list of integers >= 1"),
+    "count": (int, lambda n: n >= 1, "an integer >= 1"),
+    "seed": (int, None, "an integer"),
+    "radii": ([float], lambda rs: rs and all(0.0 <= r < 1.0 for r in rs),
+              "a non-empty list of numbers in [0, 1)"),
+    "steps": ([str], lambda names: names and {s.value for s in ProofStep}.issuperset(names),
+              "a non-empty list of proof step names"),
+    "tol": (float, None, "a number"),
+    "k": (int, lambda n: n <= MAX_N, f"an integer <= {MAX_N}"),
+    "samples": (int, lambda n: 1 <= n <= MAX_N, f"an integer in [1, {MAX_N}]"),
+    "budget": (int, lambda n: n >= 1, "an integer >= 1"),
+    "relax": _one_of(*(r.value for r in Relaxation)),
+    "output_dir": (str, None, "a path"),
+    "format": _one_of("csv", "md", "json"),
+    "delta": (float, None, "a number"),
+    "grid": (None, _grid, "start:stop:count (count >= 1), a comma list or a list of numbers"),
+    "pin_lambda": (float, None, "a number"),
+    "pin_degree": (int, None, "an integer"),
+    "state_dim": (int, None, "an integer"),
 }
-# the keys whose converted value is the one the config holds
-_CONVERTED_IN_CONFIG = ("dims", "count", "seed", "radii", "samples", "budget")
 
 
 def effective_config(args) -> dict:
-    """Defaults, overlaid by the config file, overlaid by CLI flags."""
+    """Defaults, overlaid by the config file, overlaid by CLI flags, each
+    value converted to the type the commands and the config hash read."""
     cfg = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
-        cfg.update(_load_config_file(args.config))
+        raw = json.loads(read_text(args.config))
+        if not isinstance(raw, dict):
+            raise ValueError("config file must hold a JSON object")
+        for key, value in raw.items():
+            key = CONFIG_ALIASES.get(key, key)
+            if key not in CONFIG_DEFAULTS:
+                raise ValueError(f"unknown config key {key!r}")
+            cfg[key] = value
     for key in CONFIG_DEFAULTS:
         if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
@@ -157,27 +173,17 @@ def effective_config(args) -> dict:
         cfg["seed"] = int(env) if env else 0
     if isinstance(cfg["steps"], str):
         cfg["steps"] = [s for s in cfg["steps"].split(",") if s]
-    for key, convert in _CONVERSIONS.items():
-        if cfg[key] is None and CONFIG_DEFAULTS[key] is None:
+    for key, (kind, test, what) in _CONFIG_TYPES.items():
+        value = cfg[key]
+        if value is None and CONFIG_DEFAULTS[key] is None:
             continue
         try:
-            value = convert(cfg[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"config key {key!r} cannot take {cfg[key]!r}: {exc}") from None
-        if key in ("radii", "steps", "grid") and not value:
-            raise ValueError(f"{key} must be a non-empty list")
-        if key in _CONVERTED_IN_CONFIG:
-            cfg[key] = value
-    for key in ("count", "budget", "samples"):
-        if cfg[key] < 1:
-            raise ValueError(f"{key} must be >= 1")
-    for key in ("k", "samples"):
-        if cfg[key] is not None and int(cfg[key]) > MAX_N:
-            raise ValueError(f"{key} must be <= {MAX_N}")
-    if not cfg["dims"] or min(cfg["dims"]) < 1:
-        raise ValueError("dims must be a non-empty list of integers >= 1")
-    if cfg["radii"] is not None and any(not 0.0 <= r < 1.0 for r in cfg["radii"]):
-        raise ValueError("radii must lie in [0, 1)")
+            cfg[key] = value if kind is None else _typed(value, kind)
+            if test is None or test(cfg[key]):
+                continue
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise ValueError(f"{key} must be {what}, not {value!r}")
     return cfg
 
 
@@ -218,11 +224,10 @@ def _record(command: str, argv, cfg: dict, entries, extra=None) -> dict:
 
 def _finish(args, argv, cfg, entries, extra, suffix="") -> int:
     """Write the run record of a verdict campaign and return its exit code.
-    With --out, also print the summary counts, then suffix."""
+    Written to a file, also print the summary counts, then suffix."""
     record = _record(args.command, argv, cfg, entries, extra)
     summary = record["summary"]
-    _emit(canonical_dumps(record), args.output_dir)
-    if args.output_dir:
+    if _emit(canonical_dumps(record), cfg):
         print(
             f"holds={summary['holds']} violated={summary['violated']} "
             f"inconclusive={summary['inconclusive']}{suffix}"
@@ -230,12 +235,15 @@ def _finish(args, argv, cfg, entries, extra, suffix="") -> int:
     return _exit_for(summary)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        write_text(out, text)
-        print(f"wrote {out}")
-    else:
+def _emit(text: str, cfg: dict) -> bool:
+    """Write text to the output_dir file, or to stdout if it is the default "."."""
+    out = cfg["output_dir"]
+    if out == CONFIG_DEFAULTS["output_dir"]:
         sys.stdout.write(text)
+        return False
+    write_text(out, text)
+    print(f"wrote {out}")
+    return True
 
 
 def _row(name: str, ff: FunctionFile, fields: dict) -> dict:
@@ -251,11 +259,8 @@ def _load_files(paths):
 # gen
 # ---------------------------------------------------------------------------
 
-def cmd_gen(args, argv) -> int:
-    cfg = effective_config(args)
+def cmd_gen(args, argv, cfg) -> int:
     klass = cfg["class"]
-    if klass not in ("thm1", "thm2", "transfer"):
-        raise ValueError(f"gen supports classes thm1/thm2/transfer, not {klass!r}")
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     dims = cfg["dims"]
@@ -263,13 +268,13 @@ def cmd_gen(args, argv) -> int:
         dim = dims[i % len(dims)]
         seed_i = cfg["seed"] + i
         if klass == "thm1" and cfg["pin_lambda"] is not None:
-            f = mobius_witness(float(cfg["pin_lambda"]), int(cfg["pin_degree"]))
+            f = mobius_witness(cfg["pin_lambda"], cfg["pin_degree"])
         elif klass == "thm1":
             f = generate_thm1_instance(dim, seed=seed_i)
         elif klass == "thm2":
             f = generate_thm2_instance(dim, seed_i)
         else:
-            f = generate_transfer_instance(dim, int(cfg["state_dim"]), seed_i)
+            f = generate_transfer_instance(dim, cfg["state_dim"], seed_i)
         report = None if klass == "transfer" else hypothesis_check(f, klass).to_dict()
         path = os.path.join(out_dir, f"{klass}_{i:04d}.json")
         save_function_file(path, FunctionFile(f, klass, seed_i, report))
@@ -281,9 +286,8 @@ def cmd_gen(args, argv) -> int:
 # coeffs
 # ---------------------------------------------------------------------------
 
-def cmd_coeffs(args, argv) -> int:
-    cfg = effective_config(args)
-    order = int(cfg["k"]) if cfg["k"] is not None else 32
+def cmd_coeffs(args, argv, cfg) -> int:
+    order = cfg["k"] if cfg["k"] is not None else 32
     items = []
     for name, ff in _load_files(args.files):
         series = ff.function.coefficients(order)
@@ -294,7 +298,7 @@ def cmd_coeffs(args, argv) -> int:
         "tool_version": __version__,
         "items": items,
     }
-    _emit(canonical_dumps(record), args.output_dir)
+    _emit(canonical_dumps(record), cfg)
     return EXIT_OK
 
 
@@ -332,11 +336,10 @@ def _verdict_fields(result) -> dict:
     return {**parts[0], "status": worst, "parts": parts}
 
 
-def cmd_verify(args, argv) -> int:
-    cfg = effective_config(args)
+def cmd_verify(args, argv, cfg) -> int:
     check_name, family, radius = THEOREMS[args.theorem]
     check = globals()[check_name]
-    tol = float(cfg["tol"]) if cfg["tol"] is not None else DEFAULT_BOHR_TOL
+    tol = cfg["tol"] if cfg["tol"] is not None else DEFAULT_BOHR_TOL
     entries = []
     for name, ff in _load_files(args.files):
         f = ff.function
@@ -345,7 +348,7 @@ def cmd_verify(args, argv) -> int:
         radii = cfg["radii"]
         if radii is None:
             radii = [_guaranteed_radius(f) if radius is None else radius]
-        entries += [_row(name, ff, _verdict_fields(check(f, float(r), tol))) for r in radii]
+        entries += [_row(name, ff, _verdict_fields(check(f, r, tol))) for r in radii]
     return _finish(args, argv, cfg, entries, {"theorem": args.theorem})
 
 
@@ -353,9 +356,8 @@ def cmd_verify(args, argv) -> int:
 # proofcheck
 # ---------------------------------------------------------------------------
 
-def cmd_proofcheck(args, argv) -> int:
-    cfg = effective_config(args)
-    k = int(cfg["k"]) if cfg["k"] is not None else 20
+def cmd_proofcheck(args, argv, cfg) -> int:
+    k = cfg["k"] if cfg["k"] is not None else 20
     radii = cfg["radii"] if cfg["radii"] is not None else [0.5]
     samples = default_z_samples(cfg["samples"])
     entries = []
@@ -387,9 +389,8 @@ def cmd_proofcheck(args, argv) -> int:
 # radius
 # ---------------------------------------------------------------------------
 
-def cmd_radius(args, argv) -> int:
-    cfg = effective_config(args)
-    tol = float(cfg["tol"]) if cfg["tol"] is not None else 1e-6
+def cmd_radius(args, argv, cfg) -> int:
+    tol = cfg["tol"] if cfg["tol"] is not None else 1e-6
     entries = []
     for name, ff in _load_files(args.files):
         f = ff.function
@@ -399,7 +400,7 @@ def cmd_radius(args, argv) -> int:
         verdict = BohrVerdict(status, rep.empirical_radius, -rep.margin, 0.0, 0)
         entries.append(_row(name, ff, {**verdict_to_json(verdict), **radius_report_to_json(rep)}))
     record = _record("radius", argv, cfg, entries)
-    _emit(canonical_dumps(record), args.output_dir)
+    _emit(canonical_dumps(record), cfg)
     # a violated row means guaranteed > empirical + tol: an implementation bug
     return _exit_for(record["summary"])
 
@@ -408,13 +409,12 @@ def cmd_radius(args, argv) -> int:
 # sharpness
 # ---------------------------------------------------------------------------
 
-def cmd_sharpness(args, argv) -> int:
-    cfg = effective_config(args)
+def cmd_sharpness(args, argv, cfg) -> int:
     spec = cfg["grid"]
     if not spec:
         raise ValueError("sharpness needs a grid spec (start:stop:count or comma list)")
-    rows = sharpness_scan(_grid(spec), float(cfg["delta"]))
-    _emit(sharpness_rows_to_csv(rows), args.output_dir)
+    rows = sharpness_scan(_grid(spec), cfg["delta"])
+    _emit(sharpness_rows_to_csv(rows), cfg)
     return EXIT_OK if all(row.confirmed for row in rows) else EXIT_VIOLATED
 
 
@@ -422,11 +422,12 @@ def cmd_sharpness(args, argv) -> int:
 # search
 # ---------------------------------------------------------------------------
 
-def cmd_search(args, argv) -> int:
-    cfg = effective_config(args)
+def cmd_search(args, argv, cfg) -> int:
     relax = cfg["relax"]
     if not relax:
         raise ValueError(f"search needs --relax ({' | '.join(r.value for r in Relaxation)})")
+    if len(cfg["dims"]) > 1:
+        raise ValueError(f"search takes one dim, not dims {cfg['dims']}")
     dim = cfg["dims"][0]
     result = counterexample_search(relax, dim, cfg["budget"], cfg["seed"])
     out_dir = cfg["output_dir"]
@@ -531,11 +532,8 @@ def _report_md(agg: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_report(args, argv) -> int:
-    cfg = effective_config(args)
+def cmd_report(args, argv, cfg) -> int:
     fmt = cfg["format"] or "md"
-    if fmt not in ("csv", "md", "json"):
-        raise ValueError("format must be csv, md, or json")
     agg = _aggregate(args.files)
     if fmt == "csv":
         text = verdict_rows_to_csv(agg["rows"])
@@ -546,7 +544,7 @@ def cmd_report(args, argv) -> int:
         text = canonical_dumps(body)
     else:
         text = _report_md(agg)
-    _emit(text, args.output_dir)
+    _emit(text, cfg)
     return EXIT_OK
 
 
@@ -635,7 +633,7 @@ def main(argv=None) -> int:
     try:
         # looked up by name at call time, so a cmd_* replaced after the
         # parser was built (as a tracer or a test may do) is the one that runs
-        return globals()[f"cmd_{args.command}"](args, argv)
+        return globals()[f"cmd_{args.command}"](args, argv, effective_config(args))
     except (BohrlabError, OSError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -67,8 +67,8 @@ def _pair(z) -> list[float]:
 
 
 def _unpair(p) -> complex:
-    if not (isinstance(p, list) and len(p) == 2 and all(isinstance(x, _NUMBER) for x in p)):
-        raise ValueError("complex numbers must be [re, im] pairs of numbers")
+    if not (type(p) is list and len(p) == 2 and all(type(x) in _NUMBER for x in p)):
+        raise ValueError("an entry, lambda, phase or beta must be an [re, im] pair of numbers")
     return complex(p[0], p[1])
 
 
@@ -81,7 +81,7 @@ def matrix_to_json(M) -> dict:
 
 
 def json_to_matrix(d) -> np.ndarray:
-    if not (isinstance(d, dict) and isinstance(d.get("dim"), int) and isinstance(d.get("entries"), list)):
+    if not (type(d) is dict and type(d.get("dim")) is int and type(d.get("entries")) is list):
         raise ValueError("a matrix must be an object with an integer dim and an entries list")
     dim = d["dim"]
     entries = d["entries"]
@@ -119,12 +119,12 @@ def _list_of(codec):
     return [shape], lambda xs: [encode(x) for x in xs], lambda xs: [decode(x) for x in xs]
 
 
-# payload field codecs (JSON shape, encoder, decoder); a shape is a type, or
-# [type] for a list of them, or None for an optional field left unchecked
-_MATRIX = (dict, matrix_to_json, json_to_matrix)
-_COMPLEX = (list, _pair, _unpair)
+# payload field codecs (JSON shape, encoder, decoder); a shape is a tuple of
+# exact JSON types, a boolean being no number, or [shape] for a list of them
+_MATRIX = ((dict,), matrix_to_json, json_to_matrix)
+_COMPLEX = ((list,), _pair, _unpair)
 _REAL = (_NUMBER, float, float)
-_INT = (int, int, int)
+_INT = ((int,), int, int)
 
 # kind: (class, {constructor field in order: codec}); each field is read from
 # and written to the attribute of the same name
@@ -135,7 +135,7 @@ _PAYLOADS = {
         "lambdas": _list_of(_COMPLEX),
         "phases": _list_of(_COMPLEX),
         "degrees": _list_of(_INT),
-        "allow_boundary": (None, bool, bool),
+        "allow_boundary": ((bool, type(None)), bool, bool),  # older files lack it
     }),
     "transfer": (TransferRealization, {"colligation": _MATRIX, "state_dim": _INT}),
     "halfplane": (HalfPlaneLift, {
@@ -181,9 +181,9 @@ def _check_payload(kind, data) -> None:
     for field, (shape, _, _) in _PAYLOADS[kind][1].items():
         value = data.get(field)
         if isinstance(shape, list):
-            ok = isinstance(value, list) and all(isinstance(x, shape[0]) for x in value)
+            ok = type(value) is list and all(type(x) in shape[0] for x in value)
         else:
-            ok = shape is None or isinstance(value, shape)
+            ok = type(value) in shape
         if not ok:
             raise ValueError(f"{kind} data field {field!r} is missing or malformed")
 
@@ -198,7 +198,7 @@ def parse_function_file(text: str) -> FunctionFile:
     klass = d["class"]
     if klass not in VALID_CLASSES:
         raise ValueError(f"class must be one of {VALID_CLASSES}")
-    if not isinstance(d["dim"], int):
+    if type(d["dim"]) is not int:
         raise ValueError("function file dim must be an integer")
     _check_payload(d["kind"], d["data"])
     f = _build_function(d["kind"], d["data"])

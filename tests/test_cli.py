@@ -375,6 +375,14 @@ def test_search_none_is_exit_zero(tmp_path, capsys):
     assert summary["search"]["trials"] == 5
 
 
+def test_search_takes_one_dim(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["search", "--relax", "weak-norm-bound", "--dim", "1", "--dim", "3", "--budget", "2"]
+    assert main(argv + ["--out", str(out)]) == EXIT_ERROR
+    assert "error: search takes one dim" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_search_requires_a_relaxation(capsys):
     assert main(["search", "--dim", "2"]) == EXIT_ERROR
     err = capsys.readouterr().err
@@ -569,6 +577,25 @@ MALFORMED_CONFIGS = {
     "count is zero": ("gen", {"count": 0}),
     "grid spec has two fields": ("sharpness", {"grid": "0.5:0.9"}),
     "grid count is zero": ("sharpness", {"grid": "0.5:0.9:0"}),
+    # a value of the wrong JSON type is refused, never truncated or coerced
+    "count is a fraction": ("gen", {"count": 2.7}),
+    "k is a fraction": ("coeffs", {"k": 6.9}),
+    "dims entry is a fraction": ("gen", {"dims": [2.5]}),
+    "count is true": ("gen", {"count": True}),
+    "seed is a string": ("gen", {"seed": "5"}),
+    "tol is a string": ("verify", {"tol": "1e-9"}),
+    "radii entry is a string": ("verify", {"radii": ["0.3"]}),
+    "samples is true": ("proofcheck", {"samples": True}),
+    "budget is a fraction": ("verify", {"budget": 2.5}),
+    "pin_degree is a fraction": ("verify", {"pin_degree": 1.5}),
+    "state_dim is true": ("verify", {"state_dim": True}),
+    "delta is a string": ("verify", {"delta": "0.002"}),
+    "pin_lambda is true": ("verify", {"pin_lambda": True}),
+    "grid entry is a string": ("verify", {"grid": ["0.5"]}),
+    # every key is checked, whichever subcommand runs
+    "verify format xml": ("verify", {"format": "xml"}),
+    "verify class nope": ("verify", {"class": "nope"}),
+    "verify relax nope": ("verify", {"relax": "nope"}),
 }
 
 
@@ -607,6 +634,14 @@ def _halfplane(d):
     return {**_GOOD, "class": "thm2", "kind": "halfplane", "data": data}
 
 
+# the unitary colligation [[A, B], [C, D]] = [[0.6, 0.8], [-0.8, 0.6]]: f(z) = (0.6 - z) / (1 - 0.6 z)
+_TRANSFER = {
+    **_GOOD, "class": "transfer", "kind": "transfer",
+    "data": {"colligation": {"dim": 2, "entries": [[0.6, 0.0], [0.8, 0.0], [-0.8, 0.0], [0.6, 0.0]]},
+             "state_dim": 1},
+}
+
+
 MALFORMED_FILES = {
     "top level is a list": [],
     "data is a list": {**_GOOD, "data": []},
@@ -627,6 +662,17 @@ MALFORMED_FILES = {
     "mobius degree above int64": _mobius(0.5, 10**30),
     "halfplane diag NaN": _halfplane(float("nan")),
     "halfplane diag Infinity": _halfplane(float("inf")),
+    # a value of the wrong JSON type is refused: a boolean is no number
+    "allow_boundary is a string": {**_mobius(0.5), "data": {**_mobius(0.5)["data"],
+                                                            "allow_boundary": "false"}},
+    "allow_boundary is zero": {**_mobius(0.5), "data": {**_mobius(0.5)["data"],
+                                                        "allow_boundary": 0}},
+    "halfplane t is true": {**_halfplane(0.5), "data": {**_halfplane(0.5)["data"], "t": True}},
+    "mobius degree is true": _mobius(0.5, True),
+    "transfer state_dim is true": {**_TRANSFER, "data": {**_TRANSFER["data"], "state_dim": True}},
+    "matrix dim is true": _coeff(dim=True),
+    "file dim is true": {**_GOOD, "dim": True},
+    "entry is true": _coeff(entries=[[True, 0.0]]),
 }
 
 
@@ -644,6 +690,16 @@ def test_malformed_instance_files_exit_one(case, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", [case for case in sorted(MALFORMED_FILES)
+                                  if case.endswith(("is true", "is a string", "is zero"))])
+def test_a_value_of_the_wrong_json_type_does_not_load(case, tmp_path):
+    """Refused as the file is read, not by a later gate: a boolean is no number."""
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(MALFORMED_FILES[case]), encoding="utf-8")
+    with pytest.raises(ValueError):
+        load_function_file(path)
+
+
 def test_the_malformed_file_template_is_valid(tmp_path):
     path = tmp_path / "good.json"
     path.write_text(json.dumps(_GOOD), encoding="utf-8")
@@ -653,6 +709,26 @@ def test_the_malformed_file_template_is_valid(tmp_path):
 @pytest.mark.parametrize("good", [_mobius(0.5), _halfplane(0.5)], ids=["mobius", "halfplane"])
 def test_the_structured_file_templates_are_valid(good, tmp_path):
     assert _verify(good, tmp_path) == EXIT_OK
+
+
+def test_the_transfer_file_template_is_valid(tmp_path):
+    # passes before the exact-type checks too: it shows the state_dim row fails on its type alone
+    assert _verify(_TRANSFER, tmp_path) == EXIT_OK
+
+
+@pytest.mark.parametrize("allow_boundary", [None, False, True], ids=["absent", "false", "true"])
+def test_allow_boundary_is_a_boolean_or_absent(allow_boundary, tmp_path):
+    # passes before the exact-type checks too: only a true flag admits the boundary lambda = 1
+    payload = _mobius(1.0)
+    if allow_boundary is not None:
+        payload["data"]["allow_boundary"] = allow_boundary
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    if allow_boundary:
+        assert load_function_file(path).function.allow_boundary is True
+    else:
+        with pytest.raises(HypothesisViolated):
+            load_function_file(path)
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +800,61 @@ def test_config_hashes_are_pinned(name, tmp_path, monkeypatch):
         argv += ["--config", _write_config(tmp_path / "c.json", FULL_CONFIG)]
     cfg = effective_config(build_parser().parse_args(argv))
     assert _config_hash(command, cfg) == CONFIG_HASHES[name]
+
+
+@pytest.mark.parametrize("argv, config, flags", [
+    (["verify", "--r", "0.4"], {"tol": 0}, ["--tol", "0.0"]),
+    # passes before the one typed config too: k was an integer both ways
+    (["coeffs"], {"k": 6}, ["--k", "6"]),
+], ids=["tol", "k"])
+def test_the_config_hash_reads_the_typed_values(argv, config, flags, cli_files, tmp_path, capsys):
+    """A value from a file and the same value from its flag run one audit under one hash."""
+    command, *rest = argv
+    base = [command, cli_files["pin75"], *rest]
+    hashes = []
+    for extra in (["--config", _write_config(tmp_path / "c.json", config)], flags):
+        assert main(base + extra) == EXIT_OK
+        hashes.append(json.loads(capsys.readouterr().out)["config_hash"])
+    assert hashes[0] == hashes[1]
+
+
+def _record_argv(command, cli_files, tmp_path):
+    """argv of a quick run of each command that writes one file."""
+    if command == "report":
+        rec = tmp_path / "rec.json"
+        rec.write_text(json.dumps({"verdicts": [_ROW], "summary": {"holds": 1}}), encoding="utf-8")
+        return ["report", str(rec)]
+    return {
+        "coeffs": ["coeffs", cli_files["pin75"], "--k", "4"],
+        "verify": ["verify", cli_files["pin75"], "--r", "0.4"],
+        "proofcheck": ["proofcheck", cli_files["pin75"], "--steps", "eq10", "--k", "4"],
+        "radius": ["radius", cli_files["pin75"]],
+        "sharpness": ["sharpness", "0.75"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["coeffs", "verify", "proofcheck", "radius", "sharpness", "report"])
+def test_a_config_output_dir_reaches_every_command(command, cli_files, tmp_path, capsys):
+    argv = _record_argv(command, cli_files, tmp_path)
+    from_file, from_flag = tmp_path / "from_file.out", tmp_path / "from_flag.out"
+    argv += ["--config", _write_config(tmp_path / "c.json", {"output_dir": str(from_file)})]
+    assert main(argv) == EXIT_OK
+    assert f"wrote {from_file}" in capsys.readouterr().out
+    from_file.unlink()
+    # --out wins over the file
+    assert main(argv + ["--out", str(from_flag)]) == EXIT_OK
+    assert f"wrote {from_flag}" in capsys.readouterr().out
+    assert from_flag.exists() and not from_file.exists()
+
+
+def test_main_builds_the_one_config_of_a_run():
+    import bohrlab.cli as cli
+
+    commands = [name for name in vars(cli) if name.startswith("cmd_")]
+    assert len(commands) == 8
+    assert "effective_config" in cli.main.__code__.co_names
+    for name in commands:
+        assert "effective_config" not in getattr(cli, name).__code__.co_names, name
 
 
 # ---------------------------------------------------------------------------
