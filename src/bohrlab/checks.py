@@ -52,9 +52,9 @@ from .functions import (
     mobius_witness,
 )
 
-# the truncation orders N a majorant is summed to; partial sums are
-# Loewner-monotone in N, so a caller may stop at the first that decides
-RUNGS = (64, 128, 256, 512, 1024, 2048, 4096)
+# the truncation orders N = 64, 128, ..., 4096 a majorant is summed to, the first with its N + 1 rows one
+# LIFT_ROWS block; partial sums are Loewner-monotone in N, so a caller may stop at the first that decides
+RUNGS = tuple((LIFT_ROWS - 1) * 2**k for k in range(7))
 INITIAL_N, MAX_N = RUNGS[0], RUNGS[-1]
 DEFAULT_BOHR_TOL = 1e-9
 GRAM_TOL = 1e-8

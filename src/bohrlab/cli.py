@@ -169,8 +169,11 @@ def effective_config(args) -> dict:
         if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
     if cfg["seed"] is None:
-        env = os.environ.get("BOHRLAB_SEED")
-        cfg["seed"] = int(env) if env else 0
+        env = os.environ.get("BOHRLAB_SEED") or "0"
+        try:
+            cfg["seed"] = int(env)
+        except ValueError:
+            raise ValueError(f"BOHRLAB_SEED must be an integer, not {env!r}") from None
     if isinstance(cfg["steps"], str):
         cfg["steps"] = [s for s in cfg["steps"].split(",") if s]
     for key, (kind, test, what) in _CONFIG_TYPES.items():
@@ -181,7 +184,7 @@ def effective_config(args) -> dict:
             cfg[key] = value if kind is None else _typed(value, kind)
             if test is None or test(cfg[key]):
                 continue
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError, MemoryError):
             pass
         raise ValueError(f"{key} must be {what}, not {value!r}")
     return cfg

@@ -50,11 +50,13 @@ HYPOTHESIS_TOL = 1e-8
 HYPOTHESIS_GRID = 32
 HYPOTHESIS_RADIUS = 0.999
 COMMUTATION_ORDER = 32     # coefficients checked for commutation with A_0 (a polynomial: all)
-LIFT_ROWS = 64             # rows per block of a lift, an |A_n| conversion or a majorant sum, so no temporary outgrows one
+# rows per block of a lift, an |A_n| conversion or a majorant sum, so no temporary outgrows one; the
+# first rung of checks.RUNGS is LIFT_ROWS - 1, so that its N + 1 rows are one block (one LAPACK call)
+LIFT_ROWS = 65
 
 
 def _row_blocks(rows: np.ndarray):
-    """rows in consecutive slices of LIFT_ROWS, the last possibly shorter."""
+    """rows in consecutive slices of LIFT_ROWS, the last possibly shorter: a first rung's N + 1 rows are one."""
     return (rows[k : k + LIFT_ROWS] for k in range(0, len(rows), LIFT_ROWS))
 
 
@@ -388,8 +390,8 @@ class TransferRealization(OperatorFunction):
         return D + z * (C @ X)
 
     def terms(self, first: int, last: int) -> np.ndarray:
-        """A_0 = D, A_n = C P_n with P_n = A^(n-1) B by the sequential products A P (below first,
-        P advances alone), stacked LIFT_ROWS at a time and each stack multiplied by C in one product."""
+        """A_0 = D, A_n = C P_n with P_n = A^(n-1) B by the sequential products A P (below first, P advances
+        alone), written in place into a buffer of LIFT_ROWS powers that is multiplied by C in one product."""
         _check_range(first, last)
         A, B, C, D = self.blocks
         out = np.empty((last + 1 - first, self.dim, self.dim), dtype=np.complex128)
@@ -399,11 +401,12 @@ class TransferRealization(OperatorFunction):
         for _ in range(1, first):
             P = A @ P
         powers = np.empty((LIFT_ROWS, self.state_dim, self.dim), dtype=np.complex128)
+        powers[0] = P
         for block in _row_blocks(out[1:] if first == 0 else out):
-            for k in range(len(block)):
-                powers[k] = P
-                P = A @ P
+            for k in range(len(block) - 1):
+                np.matmul(A, powers[k], out=powers[k + 1])
             np.matmul(C, powers[: len(block)], out=block)
+            powers[0] = A @ powers[len(block) - 1]
         return out
 
     def tail_bound(self, N: int) -> float:

@@ -18,6 +18,7 @@ from bohrlab import checks, functions, linalg
 from bohrlab.checks import (
     INITIAL_N,
     MAX_N,
+    RUNGS,
     BohrVerdict,
     Branch,
     ProofStep,
@@ -1181,6 +1182,23 @@ def test_checks_compute_no_abs_of_their_own(monkeypatch):
     assert not [key for key in callers if key[1] == "bohrlab.checks"]
     # both kernels ran, each from the class hooks
     assert set(callers) == {("abs_operator", "bohrlab.functions"), ("abs_svd", "bohrlab.functions")}
+
+
+def test_the_first_rung_is_one_abs_operator_call(monkeypatch):
+    # the first store A_0 .. A_INITIAL_N is one LIFT_ROWS block, so one batched |A| converts it
+    assert LIFT_ROWS == INITIAL_N + 1
+    assert RUNGS == (64, 128, 256, 512, 1024, 2048, 4096)
+    rows = []
+
+    def spy(A):
+        rows.append(len(A))
+        return abs_operator(A)
+
+    monkeypatch.setattr(functions, "abs_operator", spy)
+    for f in (generate_thm1_instance(3, degrees=(1, 10), seed=1), generate_transfer_instance(2, 2, seed=4)):
+        rows.clear()
+        assert check_bohr(f, 0.2).N_used == INITIAL_N
+        assert rows == [INITIAL_N + 1]
 
 
 def test_the_eigen_kernels_are_handed_only_hermitian_matrices(tmp_path, monkeypatch, capsys):

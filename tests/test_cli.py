@@ -539,6 +539,14 @@ def test_env_seed_is_the_last_resort(tmp_path, monkeypatch):
     assert (a / "thm1_0000.json").read_bytes() == (b / "thm1_0000.json").read_bytes()
 
 
+@pytest.mark.parametrize("env", ["abc", "1.5", "0x10"])
+def test_a_non_integer_env_seed_exits_one(env, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BOHRLAB_SEED", env)
+    assert main(["gen", "--count", "1", "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"error: BOHRLAB_SEED must be an integer, not {env!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_invocations_exit_one(cli_files):
     assert main([]) == EXIT_ERROR
     assert main(["bogus"]) == EXIT_ERROR
@@ -610,6 +618,16 @@ def test_malformed_configs_exit_one(case, cli_files, tmp_path, capsys):
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == EXIT_ERROR
     assert "error:" in capsys.readouterr().err
+
+
+def test_a_grid_beyond_memory_names_grid(tmp_path, capsys):
+    # numpy refuses the 7.1 PiB grid without allocating it; the error names the key, not numpy's request
+    command, payload = MALFORMED_CONFIGS["grid beyond memory"]
+    cfg = _write_config(tmp_path / "c.json", payload)
+    assert main([command, "--config", cfg]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: grid must be start:stop:count (count >= 1), a comma list or a list of numbers, "
+                          f"not {payload['grid']!r}\n")
 
 
 _GOOD = {

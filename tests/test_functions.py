@@ -328,6 +328,16 @@ def test_mobius_lifts_are_handed_at_most_lift_rows(monkeypatch):
         assert max(rows) <= LIFT_ROWS and sum(rows) == last - first + 1
 
 
+def test_operator_norm_has_the_bytes_of_the_spectral_norm():
+    # operator_norm calls the SVD that np.linalg.norm(A, 2) runs; an empty block (the C or B of a
+    # state_dim = 0 transfer) has norm 0.0 as there
+    rng = np.random.default_rng(3)
+    for rows, cols in [(d, d) for d in range(1, 9)] + [(2, 5), (5, 2), (1, 7), (7, 1), (0, 3), (3, 0), (0, 0)]:
+        for scale in (1e-300, 1e-8, 1.0, 1e12):
+            A = scale * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+            assert operator_norm(A).hex() == float(np.linalg.norm(A, 2)).hex()
+
+
 @pytest.mark.parametrize("kind", ["mobius", "transfer"])
 def test_abs_terms_peak_memory_is_at_most_twice_its_output(kind):
     # the output array, plus temporaries of one LIFT_ROWS block (1.77x at d = 8;
